@@ -113,7 +113,57 @@ func TestWatchdogStallAborts(t *testing.T) {
 	if ll.Dump == "" || !strings.Contains(ll.Dump, "inflight") {
 		t.Errorf("diagnostic dump missing or empty:\n%s", ll.Dump)
 	}
-	t.Logf("watchdog fired at cycle %d:\n%s", ll.Cycle, ll.Dump)
+	checkAbortPoint(t, "wupwise", ll, abortPoint{cycle: 2147483870, lastRetire: 11, lastMem: 10})
+}
+
+// abortPoint is where and why a stall abort fired.
+type abortPoint struct{ cycle, lastRetire, lastMem uint64 }
+
+func checkAbortPoint(t *testing.T, name string, ll *sim.LivelockError, want abortPoint) {
+	t.Helper()
+	got := abortPoint{cycle: ll.Cycle, lastRetire: ll.LastRetire, lastMem: ll.LastMem}
+	if got != want || ll.Spin {
+		t.Errorf("%s: stall abort at cycle %d (last retire %d, last memory event %d, spin %v), want cycle %d (%d, %d, stall)",
+			name, got.cycle, got.lastRetire, got.lastMem, ll.Spin, want.cycle, want.lastRetire, want.lastMem)
+	}
+}
+
+// TestWatchdogAbortPoints pins where tight stall thresholds abort real
+// runs, field by field: the core skips the watchdog at commits inside
+// its stall window, and that must not move an abort by one cycle. The
+// co-runs abort mid-run, after the other core has retired, so they also
+// pin the shared rule that a retirement on any core counts as progress.
+func TestWatchdogAbortPoints(t *testing.T) {
+	cases := []struct {
+		benches []string
+		scheme  Scheme
+		stall   uint64
+		want    abortPoint
+	}{
+		{[]string{"mcf"}, GRPVar, 200, abortPoint{cycle: 218, lastRetire: 8, lastMem: 6}},
+		{[]string{"swim", "mcf"}, NoPrefetch, 220, abortPoint{cycle: 26752, lastRetire: 26523, lastMem: 26520}},
+		{[]string{"equake", "mcf"}, NoPrefetch, 220, abortPoint{cycle: 1747, lastRetire: 1522, lastMem: 1519}},
+	}
+	for _, tc := range cases {
+		name := strings.Join(tc.benches, "+") + "/" + tc.scheme.String()
+		opt := Options{Factor: workloads.Test, Watchdog: &sim.WatchdogConfig{StallCycles: tc.stall}}
+		var err error
+		if len(tc.benches) == 1 {
+			spec, serr := workloads.ByName(tc.benches[0])
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			_, err = Run(spec, tc.scheme, opt)
+		} else {
+			_, err = RunCoRun(tc.benches, tc.scheme, opt)
+		}
+		var ll *sim.LivelockError
+		if !errors.As(err, &ll) {
+			t.Errorf("%s: want a livelock abort, got %v", name, err)
+			continue
+		}
+		checkAbortPoint(t, name, ll, tc.want)
+	}
 }
 
 // TestOptionsValidateRejectsBadConfigs: invalid overrides surface as

@@ -13,6 +13,7 @@ package cpu
 
 import (
 	"fmt"
+	"unsafe"
 
 	"grp/internal/isa"
 	"grp/internal/mem"
@@ -36,9 +37,12 @@ type MemoryTiming interface {
 
 // ProgressMonitor is an optional MemoryTiming capability: a memory system
 // with a forward-progress watchdog receives retirement notifications and
-// may abort a livelocked run from CheckProgress. The core calls
-// CheckProgress before NoteRetire at each commit, so a pathological jump
-// in completion cycles is detected rather than absorbed.
+// may abort a livelocked run from CheckProgress. At a commit the thread
+// calls CheckProgress and then NoteRetire, both before its own retire
+// clock moves, so a pathological jump in completion cycles is detected
+// rather than absorbed. A plain ProgressMonitor gets both calls at every
+// commit; a RetireWatcher gets them only at commits that land outside its
+// stall window.
 type ProgressMonitor interface {
 	// NoteRetire records an instruction retirement at cycle now.
 	NoteRetire(now uint64)
@@ -47,6 +51,29 @@ type ProgressMonitor interface {
 	// the watchdog's threshold.
 	CheckProgress(now uint64)
 }
+
+// RetireWatcher is an optional ProgressMonitor capability that takes the
+// watchdog off the per-commit path. Commit cycles are monotone, so a
+// monitor that reads the thread's retire clock itself needs no
+// retirement notes, and a commit at most window cycles after the previous
+// one cannot be a stall.
+type RetireWatcher interface {
+	// WatchRetire hands the monitor the thread's retire clock, the cycle
+	// of its latest commit, which the monitor reads whenever it needs the
+	// last retirement. It returns the stall window: CheckProgress cannot
+	// abort at a commit that lands at most window cycles after the
+	// thread's previous one. The thread calls it once, when it starts.
+	WatchRetire(clock *uint64) (window uint64)
+}
+
+// lineBytes is the host cache line. Types the core writes on every
+// committed instruction occupy whole lines: a size that is a multiple of
+// it puts them in a Go size class whose slots start on line boundaries,
+// so two simulations on two host threads never write the same line.
+// Above 512 bytes the allocator puts an 8-byte header in front of
+// objects that hold pointers, which moves them off the boundary, so these
+// types stay at or under 512 bytes. TestHotTypesFillWholeLines pins both.
+const lineBytes = 64
 
 // Config describes the core.
 type Config struct {
@@ -274,8 +301,15 @@ func (s *slotTable) pruneBelow(c uint64) {
 	}
 }
 
-// Core simulates one program on one memory system.
+// Core simulates one program on one memory system. Its register file is
+// written on every instruction, so the struct is padded to whole host
+// cache lines.
 type Core struct {
+	coreState
+	_ [(lineBytes - unsafe.Sizeof(coreState{})%lineBytes) % lineBytes]byte
+}
+
+type coreState struct {
 	cfg  Config
 	mem  *mem.Memory
 	msys MemoryTiming
@@ -284,28 +318,37 @@ type Core struct {
 	predict []uint8             // 2-bit bimodal counters
 	monitor ProgressMonitor     // non-nil when msys watches progress
 
-	// progInstrs/progCycles mirror the in-flight run's committed
-	// instruction count and last commit cycle, so telemetry probes (which
-	// fire from inside the memory system, i.e. mid-Run) can compute live
-	// IPC. Two plain stores per instruction; the simulation is
-	// single-goroutine.
-	progInstrs uint64
-	progCycles uint64
+	// live is the most recently started thread. Telemetry probes fire
+	// from inside the memory system, i.e. mid-run, and read its commit
+	// progress to compute live IPC; the simulation is single-goroutine.
+	live *Thread
 }
 
 // Progress returns the committed instruction count and last commit cycle
 // of the run in progress (or of the finished run after Run returns).
-func (c *Core) Progress() (instrs, cycles uint64) { return c.progInstrs, c.progCycles }
+func (c *Core) Progress() (instrs, cycles uint64) {
+	if c.live == nil {
+		return 0, 0
+	}
+	return c.live.res.Instrs, c.live.res.Cycles
+}
 
 // RegisterMetrics registers live core-progress gauges under "cpu.".
 func (c *Core) RegisterMetrics(reg *metrics.Registry) {
-	reg.MustGauge("cpu.instrs", func() float64 { return float64(c.progInstrs) })
-	reg.MustGauge("cpu.cycles", func() float64 { return float64(c.progCycles) })
+	reg.MustGauge("cpu.instrs", func() float64 {
+		instrs, _ := c.Progress()
+		return float64(instrs)
+	})
+	reg.MustGauge("cpu.cycles", func() float64 {
+		_, cycles := c.Progress()
+		return float64(cycles)
+	})
 	reg.MustGauge("cpu.ipc", func() float64 {
-		if c.progCycles == 0 {
+		instrs, cycles := c.Progress()
+		if cycles == 0 {
 			return 0
 		}
-		return float64(c.progInstrs) / float64(c.progCycles)
+		return float64(instrs) / float64(cycles)
 	})
 }
 
@@ -319,7 +362,7 @@ func New(cfg Config, m *mem.Memory, msys MemoryTiming) (*Core, error) {
 	if n == 0 {
 		n = 4096
 	}
-	c := &Core{cfg: cfg, mem: m, msys: msys, predict: make([]uint8, n)}
+	c := &Core{coreState: coreState{cfg: cfg, mem: m, msys: msys, predict: make([]uint8, n)}}
 	c.monitor, _ = msys.(ProgressMonitor)
 	return c, nil
 }
@@ -337,8 +380,14 @@ type pendStore struct {
 // Step call. It holds all scheduler state Run used to keep on its stack,
 // so a co-run driver can interleave several threads over one shared
 // memory system; a Thread stepped to completion is cycle-identical to
-// Run on the same program.
+// Run on the same program. Step writes it on every instruction, so the
+// struct is padded to whole host cache lines.
 type Thread struct {
+	threadState
+	_ [(lineBytes - unsafe.Sizeof(threadState{})%lineBytes) % lineBytes]byte
+}
+
+type threadState struct {
 	c   *Core
 	p   *isa.Program
 	res Result
@@ -349,13 +398,25 @@ type Thread struct {
 	issueSlots *slotTable
 	memSlots   *slotTable
 
-	fetchCycle        uint64
-	fetchedThisCycle  int
+	fetchCycle       uint64
+	fetchedThisCycle int
+	// lastCommitCycle is the thread's retire clock. A RetireWatcher
+	// monitor reads it in place instead of being told of each commit.
 	lastCommitCycle   uint64
 	commitsThisCycle  int
 	storeAddrReadyMax uint64 // all older stores' addresses known by here
 
+	// checkGap is how far past the previous commit a commit must land
+	// before the monitor hears of it: 0 calls it at every commit, the
+	// stall window plus one for a RetireWatcher, never without a monitor.
+	checkGap uint64
+
+	// recentStores is a ring of the last len(recentStores) stores, kept
+	// for load forwarding; storeNext is the slot the next store takes and
+	// storeCount how many slots hold a store.
 	recentStores []pendStore
+	storeNext    int
+	storeCount   int
 
 	pc     int
 	budget uint64
@@ -382,18 +443,30 @@ func (c *Core) Start(p *isa.Program) (*Thread, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Thread{
-		c:          c,
-		p:          p,
-		robCommit:  make([]uint64, c.cfg.ROBSize),
-		issueSlots: newSlotTable(c.cfg.IssueWidth, c.cfg.LegacyScheduler),
-		memSlots:   newSlotTable(c.cfg.MemPorts, c.cfg.LegacyScheduler),
-		fetchCycle: 1,
-	}
+	t := &Thread{threadState: threadState{
+		c:            c,
+		p:            p,
+		robCommit:    make([]uint64, c.cfg.ROBSize),
+		issueSlots:   newSlotTable(c.cfg.IssueWidth, c.cfg.LegacyScheduler),
+		memSlots:     newSlotTable(c.cfg.MemPorts, c.cfg.LegacyScheduler),
+		fetchCycle:   1,
+		recentStores: make([]pendStore, c.cfg.ROBSize),
+		checkGap:     ^uint64(0),
+	}}
 	t.budget = c.cfg.MaxInstrs
 	if t.budget == 0 {
 		t.budget = 1 << 62
 	}
+	if c.monitor != nil {
+		t.checkGap = 0
+		if w, ok := c.monitor.(RetireWatcher); ok {
+			t.checkGap = w.WatchRetire(&t.lastCommitCycle)
+			if t.checkGap < ^uint64(0) {
+				t.checkGap++ // only gaps beyond the window
+			}
+		}
+	}
+	c.live = t
 	return t, nil
 }
 
@@ -564,10 +637,16 @@ func (t *Thread) Step() error {
 				readyAt = t.storeAddrReadyMax
 			}
 			issueAt := t.issueSlots.reserveWith(readyAt, t.fetchCycle, t.memSlots)
-			// Forward from an in-flight older store to the same address.
+			// Forward from an in-flight older store to the same address,
+			// scanning newest first.
 			forwarded := false
-			for j := len(t.recentStores) - 1; j >= 0; j-- {
-				st := t.recentStores[j]
+			j := t.storeNext
+			for k := 0; k < t.storeCount; k++ {
+				if j == 0 {
+					j = len(t.recentStores)
+				}
+				j--
+				st := &t.recentStores[j]
 				if st.commit <= issueAt {
 					continue
 				}
@@ -594,11 +673,14 @@ func (t *Thread) Step() error {
 			if readyAt > t.storeAddrReadyMax {
 				t.storeAddrReadyMax = readyAt
 			}
-			t.recentStores = append(t.recentStores, pendStore{
+			t.recentStores[t.storeNext] = pendStore{
 				addr: addr, size: in.MemSize(), ready: doneAt, commit: doneAt + 2,
-			})
-			if len(t.recentStores) > c.cfg.ROBSize {
-				t.recentStores = t.recentStores[len(t.recentStores)-c.cfg.ROBSize:]
+			}
+			if t.storeNext++; t.storeNext == len(t.recentStores) {
+				t.storeNext = 0
+			}
+			if t.storeCount < len(t.recentStores) {
+				t.storeCount++
 			}
 		default:
 			issueAt := t.issueSlots.reserveWith(readyAt, t.fetchCycle, nil)
@@ -641,23 +723,21 @@ func (t *Thread) Step() error {
 		if cAt == t.lastCommitCycle && t.commitsThisCycle >= c.cfg.CommitWidth {
 			cAt++
 		}
+		if cAt-t.lastCommitCycle >= t.checkGap && c.monitor != nil {
+			// The check precedes the retirement note and the clock update:
+			// an instruction whose completion cycle leapt past the stall
+			// threshold must trip the watchdog, not silently refresh it.
+			c.monitor.CheckProgress(cAt)
+			c.monitor.NoteRetire(cAt)
+		}
 		if cAt > t.lastCommitCycle {
 			t.lastCommitCycle = cAt
 			t.commitsThisCycle = 0
 		}
 		t.commitsThisCycle++
-		if c.monitor != nil {
-			// Check precedes the retirement note: an instruction whose
-			// completion cycle leapt past the stall threshold must trip the
-			// watchdog, not silently refresh it.
-			c.monitor.CheckProgress(cAt)
-			c.monitor.NoteRetire(cAt)
-		}
 		t.robCommit[slot] = cAt
 		t.res.Instrs++
 		t.res.Cycles = cAt
-		c.progInstrs = t.res.Instrs
-		c.progCycles = cAt
 
 		if i%(1<<16) == 0 {
 			t.issueSlots.pruneBelow(t.fetchCycle)

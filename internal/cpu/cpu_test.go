@@ -356,3 +356,155 @@ func mustNew(t *testing.T, cfg Config, m *mem.Memory, msys MemoryTiming) *Core {
 	}
 	return c
 }
+
+// TestStoreHeavyStepAllocs: once warm, stepping a loop of stores
+// allocates nothing. The store-forwarding window is a fixed ring, so
+// keeping the last ROBSize stores never reallocates.
+func TestStoreHeavyStepAllocs(t *testing.T) {
+	p, err := isa.Assemble("stores", `
+	li r1, 8192
+	li r2, 0
+loop:
+	st r2, 0(r1)
+	st r2, 8(r1)
+	st4 r2, 16(r1)
+	ld r3, 8(r1)
+	addi r2, r2, 1
+	jmp loop
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustNew(t, Default(), mem.New(), &flatMem{lat: 3})
+	th, err := c.Start(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		for k := 0; k < 1000; k++ {
+			if err := th.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step() // warm up: first-touch pages, slot rings
+	if a := testing.AllocsPerRun(50, step); a != 0 {
+		t.Errorf("store-heavy Step allocates %.1f times per 1000 instructions, want 0", a)
+	}
+	if th.Result().Stores == 0 {
+		t.Fatal("loop retired no stores")
+	}
+}
+
+// commitLog is a ProgressMonitor that records the cycle of every call
+// and, when it hands out a stall window, the thread's retire clock at
+// each CheckProgress.
+type commitLog struct {
+	flatMem
+	clock   *uint64
+	checks  []uint64 // CheckProgress arguments
+	notes   []uint64 // NoteRetire arguments
+	clockAt []uint64 // *clock at each CheckProgress
+}
+
+func (l *commitLog) CheckProgress(now uint64) {
+	l.checks = append(l.checks, now)
+	if l.clock != nil {
+		l.clockAt = append(l.clockAt, *l.clock)
+	}
+}
+
+func (l *commitLog) NoteRetire(now uint64) { l.notes = append(l.notes, now) }
+
+// windowLog is a commitLog that is also a RetireWatcher.
+type windowLog struct {
+	commitLog
+	window uint64
+}
+
+func (l *windowLog) WatchRetire(clock *uint64) uint64 {
+	l.clock = clock
+	return l.window
+}
+
+// TestMonitorCallsOutsideStallWindow: a plain ProgressMonitor hears of
+// every commit, check before note; a RetireWatcher hears only of commits
+// landing more than its window after the previous one, and at each such
+// check its retire clock still reads that previous commit. The windows
+// sit on either side of a commit gap the program produces, so an
+// off-by-one in either direction changes which commits are heard.
+func TestMonitorCallsOutsideStallWindow(t *testing.T) {
+	p, err := isa.Assemble("loads", `
+	li r1, 8192
+	li r2, 0
+	li r4, 300
+loop:
+	ld r3, 0(r1)
+	mul r5, r5, r3
+	add r5, r5, r3
+	addi r1, r1, 64
+	addi r2, r2, 1
+	blt r2, r4, loop
+	halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := &commitLog{flatMem: flatMem{lat: 40}}
+	res, err := mustNew(t, Default(), mem.New(), plain).Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(plain.checks)) != res.Instrs || len(plain.notes) != len(plain.checks) {
+		t.Fatalf("plain monitor: %d checks, %d notes for %d commits", len(plain.checks), len(plain.notes), res.Instrs)
+	}
+	gaps := map[uint64]bool{}
+	prev := uint64(0)
+	for i, c := range plain.checks {
+		if plain.notes[i] != c {
+			t.Fatalf("commit %d: check at %d, note at %d", i, c, plain.notes[i])
+		}
+		gaps[c-prev] = true
+		prev = c
+	}
+	// The second-largest gap, so both windows leave some commits outside.
+	var top, next uint64
+	for g := range gaps {
+		if g > top {
+			top, next = g, top
+		} else if g > next {
+			next = g
+		}
+	}
+	if next < 2 {
+		t.Fatalf("commit gaps %v do not exercise the window", gaps)
+	}
+
+	for _, window := range []uint64{next - 1, next} {
+		w := &windowLog{commitLog: commitLog{flatMem: flatMem{lat: 40}}, window: window}
+		if _, err := mustNew(t, Default(), mem.New(), w).Run(p); err != nil {
+			t.Fatal(err)
+		}
+		// The commits more than window after the previous one, and that
+		// previous commit.
+		var want, wantPrev []uint64
+		prev := uint64(0)
+		for _, c := range plain.checks {
+			if c-prev > window {
+				want, wantPrev = append(want, c), append(wantPrev, prev)
+			}
+			prev = c
+		}
+		if len(w.checks) != len(want) {
+			t.Fatalf("window %d: monitor heard of %d commits, want %d", window, len(w.checks), len(want))
+		}
+		for i, c := range w.checks {
+			if c != want[i] || w.notes[i] != c {
+				t.Fatalf("window %d, call %d: check %d, note %d; want %d", window, i, c, w.notes[i], want[i])
+			}
+			if at := w.clockAt[i]; at != wantPrev[i] {
+				t.Errorf("window %d, call %d at %d: retire clock read %d, want the previous commit %d", window, i, c, at, wantPrev[i])
+			}
+		}
+	}
+}

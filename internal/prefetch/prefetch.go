@@ -137,7 +137,10 @@ type regionEntry struct {
 // head, old entries fall off the bottom, and prefetches issue from the head
 // entry (LIFO scheduling, Sec. 5.1).
 type regionQueue struct {
-	entries []regionEntry // index 0 = head
+	// entries is a prefix of one QueueSize backing array, allocated on
+	// the first push; index 0 = head. Nothing reslices its start, so no
+	// push ever reallocates.
+	entries []regionEntry
 	// cap, when nonzero, overrides QueueSize as the occupancy bound. The
 	// adaptive engine's conservative rungs shrink it to throttle how much
 	// speculation is buffered; every other engine leaves it 0.
@@ -173,7 +176,7 @@ func (q *regionQueue) pushHead(e regionEntry) {
 	if c := q.capacity(); len(q.entries) >= c {
 		q.entries = q.entries[:c-1]
 	}
-	q.entries = append(q.entries, regionEntry{})
+	q.entries = append(q.backing(), regionEntry{})
 	copy(q.entries[1:], q.entries)
 	q.entries[0] = e
 }
@@ -184,7 +187,21 @@ func (q *regionQueue) pushTail(e regionEntry) {
 	if len(q.entries) >= q.capacity() {
 		return
 	}
-	q.entries = append(q.entries, e)
+	q.entries = append(q.backing(), e)
+}
+
+// backing returns entries, allocating its full-size backing array on
+// first use.
+func (q *regionQueue) backing() []regionEntry {
+	if q.entries == nil {
+		q.entries = make([]regionEntry, 0, QueueSize)
+	}
+	return q.entries
+}
+
+// dropHead deallocates the head entry, shifting the rest up in place.
+func (q *regionQueue) dropHead() {
+	q.entries = append(q.entries[:0], q.entries[1:]...)
 }
 
 // moveToHead moves the entry at position i to the head.
@@ -235,7 +252,7 @@ func (q *regionQueue) popOpenFirst(present, rowOpen func(uint64) bool) (block ui
 	block = e.base + uint64(first)*BlockBytes
 	ptrCtr = e.ptrCtr
 	if e.bits == 0 {
-		q.entries = q.entries[1:]
+		q.dropHead()
 	}
 	return block, ptrCtr, true
 }
@@ -267,12 +284,12 @@ func (q *regionQueue) pop(present func(uint64) bool) (block uint64, ptrCtr uint8
 		}
 		if found {
 			if e.bits == 0 {
-				q.entries = q.entries[1:]
+				q.dropHead()
 			}
 			return block, ptrCtr, true
 		}
 		// Entry exhausted (all candidates present or popped): deallocate.
-		q.entries = q.entries[1:]
+		q.dropHead()
 	}
 	return 0, 0, false
 }

@@ -43,6 +43,34 @@ func TestRegionQueueOverflow(t *testing.T) {
 	}
 }
 
+// TestRegionQueueSteadyStateAllocs: once its backing array exists, a
+// full queue cycling through pushes, evictions and head pops allocates
+// nothing. Popping the head must not reslice past the array's start,
+// or the next push reallocates.
+func TestRegionQueueSteadyStateAllocs(t *testing.T) {
+	var q regionQueue
+	next := uint64(0)
+	cycle := func() {
+		for round := 0; round < 4; round++ {
+			for i := 0; i < QueueSize+8; i++ { // fill, then evict off the bottom
+				next += 0x1000
+				q.pushHead(regionEntry{base: next, bits: 0b11, blocks: 2})
+			}
+			pops := 0
+			for _, _, ok := q.pop(notPresent); ok; _, _, ok = q.pop(notPresent) {
+				pops++
+			}
+			if pops != 2*QueueSize {
+				t.Fatalf("drained %d candidates, want %d", pops, 2*QueueSize)
+			}
+		}
+	}
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("region queue allocates %.1f times per push/pop cycle, want 0", a)
+	}
+}
+
 func TestMakeRegionExcludesMissAndPresent(t *testing.T) {
 	present := func(b uint64) bool { return b == 0x1000+2*64 } // block 2 cached
 	e := makeRegion(0x1000+5*64+8, 64, present, 0)

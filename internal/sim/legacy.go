@@ -193,7 +193,7 @@ func (ms *LegacyMemSystem) FaultCounts() faults.Counts {
 // the package defaults. The watchdog aborts the run via a *LivelockError
 // panic (see RecoverAbort).
 func (ms *LegacyMemSystem) SetWatchdog(cfg WatchdogConfig) *Watchdog {
-	ms.watchdog = &Watchdog{cfg: cfg.withDefaults()}
+	ms.watchdog = newWatchdog(cfg)
 	return ms.watchdog
 }
 
@@ -327,11 +327,7 @@ func (ms *LegacyMemSystem) Advance(now uint64) {
 	t := ms.cursor
 	for t < now {
 		if ms.watchdog != nil && ms.watchdog.noteSpin(t) {
-			panic(&LivelockError{
-				Cycle: t, LastRetire: ms.watchdog.lastRetire,
-				LastMem: ms.watchdog.lastMem, Spin: true,
-				Dump: ms.DiagnosticDump(t),
-			})
+			panic(ms.watchdog.livelock(t, true, ms.DiagnosticDump(t)))
 		}
 		ms.processArrivals(t)
 		if ms.inflightPF >= ms.cfg.MaxInflightPrefetches {
@@ -600,11 +596,7 @@ func (ms *LegacyMemSystem) CheckProgress(now uint64) {
 	if ms.watchdog == nil || !ms.watchdog.stalled(now) {
 		return
 	}
-	panic(&LivelockError{
-		Cycle: now, LastRetire: ms.watchdog.lastRetire,
-		LastMem: ms.watchdog.lastMem,
-		Dump:    ms.DiagnosticDump(now),
-	})
+	panic(ms.watchdog.livelock(now, false, ms.DiagnosticDump(now)))
 }
 
 // CheckInvariants audits the hierarchy's internal consistency and returns

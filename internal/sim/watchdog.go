@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // The forward-progress watchdog exists because a production-scale
 // simulator must fail loudly on a wedged queue instead of spinning
@@ -48,14 +51,40 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	return c
 }
 
+// lineBytes is the host cache line. Types the memory system writes on
+// every access occupy whole lines, as the core's do (see DESIGN.md §10),
+// so two simulations on two host threads never write the same line.
+// TestHotTypesFillWholeLines pins the rule.
+const lineBytes = 64
+
 // Watchdog tracks forward progress. The zero value is unusable; obtain
 // one via MemSystem.SetWatchdog.
+//
+// Retirements reach it two ways. A core that only knows
+// cpu.ProgressMonitor notes each one (NoteRetire); a core that knows
+// cpu.RetireWatcher hands over its retire clock once (watch), and the
+// watchdog reads the clock when it needs the last retirement. Either way
+// the last retirement is the latest of all of them, so every abort fires
+// at the same cycle with the same fields.
+//
+// The pump writes the watchdog on every iteration, so the struct is
+// padded to whole host cache lines.
 type Watchdog struct {
+	watchdogState
+	_ [(lineBytes - unsafe.Sizeof(watchdogState{})%lineBytes) % lineBytes]byte
+}
+
+type watchdogState struct {
 	cfg        WatchdogConfig
 	lastRetire uint64
 	lastMem    uint64
 	spinAt     uint64
 	spins      uint64
+	clocks     []*uint64 // retire clocks of the watching cores' threads
+}
+
+func newWatchdog(cfg WatchdogConfig) *Watchdog {
+	return &Watchdog{watchdogState: watchdogState{cfg: cfg.withDefaults()}}
 }
 
 // NoteRetire records an instruction retirement at cycle now.
@@ -63,6 +92,26 @@ func (w *Watchdog) NoteRetire(now uint64) {
 	if now > w.lastRetire {
 		w.lastRetire = now
 	}
+}
+
+// watch adds a thread's retire clock and returns the stall window: no
+// commit at most StallCycles after the thread's previous one can stall,
+// because that commit's predecessor is itself a retirement.
+func (w *Watchdog) watch(clock *uint64) uint64 {
+	w.clocks = append(w.clocks, clock)
+	return w.cfg.StallCycles
+}
+
+// retired returns the last retirement: the latest noted one or the
+// furthest retire clock.
+func (w *Watchdog) retired() uint64 {
+	last := w.lastRetire
+	for _, c := range w.clocks {
+		if *c > last {
+			last = *c
+		}
+	}
+	return last
 }
 
 // NoteMem records a drained memory event (arrival, submission) at now.
@@ -74,11 +123,19 @@ func (w *Watchdog) NoteMem(now uint64) {
 
 // stalled reports whether the stall threshold is exceeded at cycle now.
 func (w *Watchdog) stalled(now uint64) bool {
-	last := w.lastRetire
+	last := w.retired()
 	if w.lastMem > last {
 		last = w.lastMem
 	}
 	return now > last && now-last > w.cfg.StallCycles
+}
+
+// livelock builds the abort for a stall or spin detected at cycle.
+func (w *Watchdog) livelock(cycle uint64, spin bool, dump string) *LivelockError {
+	return &LivelockError{
+		Cycle: cycle, LastRetire: w.retired(), LastMem: w.lastMem,
+		Spin: spin, Dump: dump,
+	}
 }
 
 // noteSpin records one pump event at the given cycle and reports whether

@@ -2,15 +2,18 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"grp/internal/cpu"
 	"grp/internal/dram"
 	"grp/internal/isa"
+	"grp/internal/mem"
 	"grp/internal/prefetch"
 )
 
 func TestWatchdogStallDetection(t *testing.T) {
-	w := Watchdog{cfg: WatchdogConfig{StallCycles: 100}.withDefaults()}
+	w := newWatchdog(WatchdogConfig{StallCycles: 100})
 	w.NoteRetire(50)
 	if w.stalled(120) {
 		t.Error("fired inside the threshold window")
@@ -29,7 +32,7 @@ func TestWatchdogStallDetection(t *testing.T) {
 }
 
 func TestWatchdogSpinCounter(t *testing.T) {
-	w := Watchdog{cfg: WatchdogConfig{SpinEvents: 3}.withDefaults()}
+	w := newWatchdog(WatchdogConfig{SpinEvents: 3})
 	for i := 0; i < 3; i++ {
 		if w.noteSpin(7) {
 			t.Fatalf("fired after only %d same-cycle events", i+1)
@@ -73,9 +76,7 @@ func (e *endlessEngine) Pop(func(uint64) bool) (uint64, bool) {
 // stream means the issue loop never advances time. The same-cycle spin
 // detector must abort with a diagnostic dump instead of hanging.
 func TestWatchdogSpinFires(t *testing.T) {
-	cfg := DefaultMemConfig()
-	cfg.DRAM = dram.Config{Channels: 1, BanksPerChannel: 1, RowBytes: 2048, BlockBytes: 64}
-	ms, err := NewMemSystem(cfg, &endlessEngine{})
+	ms, err := NewMemSystem(spinConfig(), &endlessEngine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +96,116 @@ func TestWatchdogSpinFires(t *testing.T) {
 	}
 	if ll.Dump == "" {
 		t.Error("livelock abort carried no diagnostic dump")
+	}
+}
+
+// spinConfig is a memory configuration whose pump spins as soon as an
+// endlessEngine gets a candidate to it: DRAM transfers cost zero cycles.
+func spinConfig() MemConfig {
+	cfg := DefaultMemConfig()
+	cfg.DRAM = dram.Config{Channels: 1, BanksPerChannel: 1, RowBytes: 2048, BlockBytes: 64}
+	return cfg
+}
+
+// countThenLoad retires a counting loop of n iterations, then issues one
+// load, which starts the prefetch pump.
+func countThenLoad(t *testing.T, n int) *isa.Program {
+	t.Helper()
+	p, err := isa.Assemble("count", fmt.Sprintf(`
+	li r1, 0
+	li r2, %d
+loop:
+	addi r1, r1, 1
+	blt r1, r2, loop
+	li r3, 4096
+	ld r4, 0(r3)
+	halt
+`, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestWatchdogSpinReadsLiveRetireClock: a spin abort fired from inside
+// the pump reports the last retirement of the core that drove it there.
+// The core no longer notes each commit, so the watchdog must read the
+// core's retire clock.
+func TestWatchdogSpinReadsLiveRetireClock(t *testing.T) {
+	ms, err := NewMemSystem(spinConfig(), &endlessEngine{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms.SetWatchdog(WatchdogConfig{SpinEvents: 10_000})
+	c, err := cpu.New(cpu.Default(), mem.New(), ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = func() (err error) {
+		defer RecoverAbort(&err)
+		_, err = c.Run(countThenLoad(t, 50))
+		return err
+	}()
+	var ll *LivelockError
+	if !errors.As(err, &ll) {
+		t.Fatalf("expected a LivelockError, got %v", err)
+	}
+	if !ll.Spin || ll.Cycle != 0 || ll.LastRetire != 82 || ll.LastMem != 0 {
+		t.Errorf("spin abort at cycle %d (last retire %d, last memory event %d, spin %v), want cycle 0 (82, 0, spin)",
+			ll.Cycle, ll.LastRetire, ll.LastMem, ll.Spin)
+	}
+}
+
+// TestCoRunSpinReadsEveryRetireClock: in a co-run the spin abort's last
+// retirement is the latest on any core, here core 0's, while core 1's
+// load spins the pump.
+func TestCoRunSpinReadsEveryRetireClock(t *testing.T) {
+	cs, err := NewCoRunSystem(spinConfig(), []prefetch.Engine{&endlessEngine{}, &endlessEngine{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.SetWatchdog(WatchdogConfig{SpinEvents: 10_000})
+	var threads []*cpu.Thread
+	for i, n := range []int{400, 50} {
+		c, err := cpu.New(cpu.Default(), mem.New(), cs.Port(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := c.Start(countThenLoad(t, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		threads = append(threads, th)
+	}
+	err = func() (err error) {
+		defer RecoverAbort(&err)
+		// The co-run driver's interleave: step the unfinished thread
+		// furthest behind, the lower core on ties.
+		for {
+			best := -1
+			for i, th := range threads {
+				if !th.Done() && (best < 0 || th.LastCommitCycle() < threads[best].LastCommitCycle()) {
+					best = i
+				}
+			}
+			if best < 0 {
+				return nil
+			}
+			if err := threads[best].Step(); err != nil {
+				return err
+			}
+		}
+	}()
+	var ll *LivelockError
+	if !errors.As(err, &ll) {
+		t.Fatalf("expected a LivelockError, got %v", err)
+	}
+	if !ll.Spin || ll.Cycle != 0 || ll.LastRetire != 83 || ll.LastMem != 0 {
+		t.Errorf("spin abort at cycle %d (last retire %d, last memory event %d, spin %v), want cycle 0 (83, 0, spin)",
+			ll.Cycle, ll.LastRetire, ll.LastMem, ll.Spin)
+	}
+	if a, b := threads[0].LastCommitCycle(), threads[1].LastCommitCycle(); a != 83 || b != 82 {
+		t.Errorf("retire clocks %d, %d; want 83 on the counting core, 82 on the spinning one", a, b)
 	}
 }
 

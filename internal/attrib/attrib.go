@@ -12,16 +12,19 @@
 // feedback-directed scheme (the ROADMAP's grp-adaptive item) consumes.
 //
 // The implementation follows the hot-path idiom of internal/sim: entries
-// live in a slab indexed by int32 with a free list, the block → entry
-// table is open-addressed (internal/oamap), and per-region/per-PC
-// aggregates are plain maps that stop growing once the working set is
-// resident — zero heap allocations in steady state. Every public method
-// is safe on a nil *Ledger, so the memory system guards instrumentation
-// with a single nil check exactly like its other telemetry sinks.
+// live in a slab indexed by int32 with a free list, and the memory system
+// carries each prefetch's slot index with the prefetch (on its in-flight
+// line, then as the L2 line's token), so no event looks a block up.
+// Per-region/per-PC aggregates are flat rows resolved once per issue and
+// stop growing once the working set is resident — zero heap allocations
+// in steady state. Every public method is safe on a nil *Ledger, so the
+// memory system guards instrumentation with a single nil check exactly
+// like its other telemetry sinks.
 package attrib
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"grp/internal/oamap"
@@ -80,6 +83,9 @@ func ClassNames() []string {
 	return out
 }
 
+// victimBuckets sizes the victim filter (see Ledger.victimBits).
+const victimBuckets = 4096
+
 // RegionBytes is the attribution granularity: the paper's 4 KB region.
 const RegionBytes = 4096
 
@@ -88,17 +94,16 @@ func RegionOf(block uint64) uint64 { return block &^ uint64(RegionBytes-1) }
 
 const noClass Class = 0xff
 
-// entry is one prefetch in the slab. A terminal entry is not deleted:
-// it stays in the slab and in byBlock as a corpse (live=false), and a
-// re-issue of the same block reuses its slot in place. That trades slab
-// high-water mark (distinct blocks prefetched, instead of simultaneously
-// live ones) for zero backward-shift deletions on the classify path —
-// the table memory is pooled across runs anyway (see Recycle).
+// entry is one tracked prefetch in the slab. It lives from Issue until
+// the memory system can no longer name it — cancelled in flight, a no-op
+// fill, its first demand reference, or its eviction — and then folds
+// into the aggregates and returns its slot to the free list, so the slab
+// holds only the prefetches still in flight or resident.
 type entry struct {
-	block        uint64
-	pc           uint64 // triggering PC (0: hardware-internal trigger)
-	class        Class  // noClass until classified
-	victimDemand bool   // the fill evicted a valid demand-resident line
+	region       int32 // row of the block's 4 KB region in Ledger.regions
+	pc           int32 // row of the triggering PC in Ledger.pcs
+	class        Class // noClass until classified
+	victimDemand bool  // the fill evicted a valid demand-resident line
 	live         bool
 }
 
@@ -112,26 +117,6 @@ type Counts struct {
 	Redundant      uint64 `json:"redundant"`
 	Cancelled      uint64 `json:"cancelled"`
 	ResidentUnused uint64 `json:"resident_unused"`
-}
-
-// add increments the tally for class c.
-func (k *Counts) add(c Class) {
-	switch c {
-	case ClassUseful:
-		k.Useful++
-	case ClassLate:
-		k.Late++
-	case ClassEvictedUnused:
-		k.EvictedUnused++
-	case ClassPollution:
-		k.Pollution++
-	case ClassRedundant:
-		k.Redundant++
-	case ClassCancelled:
-		k.Cancelled++
-	case ClassResidentUnused:
-		k.ResidentUnused++
-	}
 }
 
 // Get returns the tally for class c.
@@ -161,10 +146,80 @@ func (k Counts) Total() uint64 {
 		k.Redundant + k.Cancelled + k.ResidentUnused
 }
 
-// groupStats is the per-region / per-PC accumulator.
+// tally is the ledger's own per-class counter, indexed by Class so that
+// folding an outcome is one increment; Counts is its exported form.
+type tally [NumClasses]uint64
+
+func (t *tally) counts() Counts {
+	return Counts{
+		Useful:         t[ClassUseful],
+		Late:           t[ClassLate],
+		EvictedUnused:  t[ClassEvictedUnused],
+		Pollution:      t[ClassPollution],
+		Redundant:      t[ClassRedundant],
+		Cancelled:      t[ClassCancelled],
+		ResidentUnused: t[ClassResidentUnused],
+	}
+}
+
+func (t *tally) total() uint64 {
+	var n uint64
+	for _, v := range t {
+		n += v
+	}
+	return n
+}
+
+// groupStats is the per-region / per-PC accumulator: one 64-byte line.
 type groupStats struct {
 	issued uint64
-	counts Counts
+	counts tally
+}
+
+// groups is one aggregate table (per region or per PC): a row per key,
+// in first-use order, found through an open-addressed index.
+type groups struct {
+	rows  []groupStats
+	keys  []uint64
+	index *oamap.I32
+}
+
+// row returns key's row, appending an empty one for a new key.
+func (g *groups) row(key uint64) int32 {
+	r, ok := g.index.Get(key)
+	if !ok {
+		r = int32(len(g.rows))
+		g.rows = append(g.rows, groupStats{})
+		g.keys = append(g.keys, key)
+		g.index.Set(key, r)
+	}
+	return r
+}
+
+// issuing counts the rows with at least one issued prefetch; the others
+// belong to a region or PC whose demand misses triggered nothing.
+func (g *groups) issuing() int {
+	n := 0
+	for i := range g.rows {
+		if g.rows[i].issued > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func (g *groups) reset() {
+	g.rows = g.rows[:0]
+	g.keys = g.keys[:0]
+	g.index.Reset()
+}
+
+func newGroups() groups {
+	return groups{
+		rows:  make([]groupStats, 0, 64),
+		keys:  make([]uint64, 0, 64),
+		index: oamap.NewI32Sized(64),
+	}
 }
 
 // Ledger is the event ledger. Attach one per run via the memory system;
@@ -172,142 +227,140 @@ type groupStats struct {
 // like the rest of the telemetry layer).
 type Ledger struct {
 	// Hot per-event state leads the struct so the fields every Hint/Issue
-	// touches share the ledger's first host cache line.
-	lastRegion uint64 // Hint one-entry cache: last missing region...
-	lastPC     uint64 // ...and the PC that missed it
-	issued     uint64
-	hintsSeen  uint64
-	// byBlock maps a block to its slab entry (live or corpse). victims
-	// tracks demand-resident blocks displaced by prefetch fills, so later
-	// re-misses to them can be counted (VictimReMisses). regionPC
-	// remembers the last demand-missing PC per 4 KB region — the
-	// attribution link from a hardware-triggered region prefetch back to
-	// the instruction whose miss (and hint) opened the region — written
-	// on every demand L2 miss through the lastRegion/lastPC cache (misses
-	// stream through a region before moving on, so consecutive writes
-	// usually repeat the same pair).
-	byBlock  *oamap.I32
-	victims  *oamap.U8
-	regionPC *oamap.U64
-	haveLast bool
+	// touches share the ledger's first host cache lines.
+	issued    uint64
+	hintsSeen uint64
+	// One-entry caches over the region rows: the last missing region
+	// (misses stream through a region before moving on) and the region
+	// of the last issued block (a region prefetch issues up to 64 blocks
+	// of one region back to back).
+	lastRegion  uint64
+	issueRegion uint64
+	lastRow     int32
+	issueRow    int32
+	haveLast    bool
+	issueOK     bool
+	// pcKeys/pcRows cache the rows of the two most recently missing PCs,
+	// most recent first (-1: empty); misses in a region often alternate
+	// between two loads.
+	pcKeys [2]uint64
+	pcRows [2]int32
+	pc0Row int32 // the row of PC 0 (-1 until a hardware trigger needs it)
+	// victims tracks demand-resident blocks displaced by prefetch fills,
+	// so later re-misses to them can be counted (VictimReMisses). Every
+	// demand miss would probe it once a victim is armed; victimBits, one
+	// bit per block-number bucket, is set at each arming and cleared only
+	// by Recycle, so a clear bit proves the block unarmed and skips the
+	// probe.
+	victims    *oamap.U8
+	victimBits [victimBuckets / 64]uint64
 
 	entries []entry
+	free    []int32 // slab slots of ended entries, reused LIFO
 
-	perRegion map[uint64]*groupStats
-	perPC     map[uint64]*groupStats
-
-	// One-entry caches over the aggregate maps: a region prefetch issues
-	// up to 64 blocks with one region and one trigger PC, so consecutive
-	// fold calls overwhelmingly repeat the same group.
-	rgKey uint64
-	rg    *groupStats
-	pcKey uint64
-	pg    *groupStats
+	// regions and pcs are the aggregate rows. A demand miss opens the
+	// rows of its region and PC, and regionPC (parallel to the region
+	// rows) holds the pcs row of the region's last demand-missing PC —
+	// the attribution link from a hardware-triggered region prefetch back
+	// to the instruction whose miss (and hint) opened the region; -1 when
+	// no demand access ever missed the region, so its prefetches
+	// attribute to PC 0 (a pure hardware trigger).
+	regions  groups
+	pcs      groups
+	regionPC []int32
 
 	holdsBusy    uint64
 	dropsHeld    uint64
 	dropsSW      uint64
 	victimRemiss uint64
 	crossPoll    uint64
-	classTotals  Counts
+	classTotals  tally
 }
 
-// ledgerPool recycles ledgers across runs: a campaign executes thousands
-// of cells per process, and each ledger carries ~100 KB of slab and table
-// backing that would otherwise be fresh garbage per cell.
-var ledgerPool = sync.Pool{New: func() any {
-	// Pre-size for a typical cell: the slab's high-water mark tracks the
-	// simultaneously resident prefetched lines (hundreds to a few
-	// thousand), and growing mid-run costs a rehash per doubling on the
-	// per-issue path.
-	return &Ledger{
-		entries:   make([]entry, 0, 1024),
-		byBlock:   oamap.NewI32Sized(1024),
-		victims:   oamap.NewU8(),
-		regionPC:  oamap.NewU64Sized(256),
-		perRegion: make(map[uint64]*groupStats, 64),
-		perPC:     make(map[uint64]*groupStats, 64),
-	}
-}}
+// idle holds recycled ledgers: a campaign executes thousands of cells per
+// process, and each ledger carries tens of KB of slab and table backing
+// that would otherwise be fresh garbage per cell. Unlike a sync.Pool the
+// list survives garbage collections, which a busy campaign runs every
+// few cells; it keeps at most GOMAXPROCS ledgers.
+var idle struct {
+	sync.Mutex
+	ledgers []*Ledger
+}
 
 // NewLedger returns an empty ledger, reusing a recycled one when
 // available (see Recycle).
 func NewLedger() *Ledger {
-	return ledgerPool.Get().(*Ledger)
+	idle.Lock()
+	if n := len(idle.ledgers); n > 0 {
+		l := idle.ledgers[n-1]
+		idle.ledgers = idle.ledgers[:n-1]
+		idle.Unlock()
+		return l
+	}
+	idle.Unlock()
+	// Pre-size for a typical cell: the slab's high-water mark tracks the
+	// simultaneously resident prefetched lines (hundreds to a few
+	// thousand).
+	return &Ledger{
+		entries:  make([]entry, 0, 1024),
+		free:     make([]int32, 0, 1024),
+		victims:  oamap.NewU8(),
+		regions:  newGroups(),
+		pcs:      newGroups(),
+		regionPC: make([]int32, 0, 64),
+		pcRows:   [2]int32{-1, -1},
+		pc0Row:   -1,
+	}
 }
 
-// Recycle resets the ledger and returns it to the pool for a later
-// NewLedger call. The caller must drop every reference first; Summarize
-// copies everything it exports, so a taken Summary stays valid.
+// Recycle resets the ledger and keeps it for a later NewLedger call. The
+// caller must drop every reference first; Summarize copies everything it
+// exports, so a taken Summary stays valid.
 func (l *Ledger) Recycle() {
 	if l == nil {
 		return
 	}
 	l.entries = l.entries[:0]
-	l.byBlock.Reset()
+	l.free = l.free[:0]
 	l.victims.Reset()
-	l.regionPC.Reset()
-	clear(l.perRegion)
-	clear(l.perPC)
-	l.lastRegion, l.lastPC, l.haveLast = 0, 0, false
-	l.rgKey, l.rg, l.pcKey, l.pg = 0, nil, 0, nil
+	clear(l.victimBits[:])
+	l.regions.reset()
+	l.pcs.reset()
+	l.regionPC = l.regionPC[:0]
+	l.haveLast, l.issueOK = false, false
+	l.pcRows = [2]int32{-1, -1}
+	l.pc0Row = -1
 	l.issued, l.hintsSeen, l.holdsBusy, l.dropsHeld, l.dropsSW = 0, 0, 0, 0, 0
 	l.victimRemiss, l.crossPoll = 0, 0
-	l.classTotals = Counts{}
-	ledgerPool.Put(l)
+	l.classTotals = tally{}
+	idle.Lock()
+	if len(idle.ledgers) < runtime.GOMAXPROCS(0) {
+		idle.ledgers = append(idle.ledgers, l)
+	}
+	idle.Unlock()
 }
 
-// classify assigns the terminal class and retires the entry to a corpse.
-// Aggregation is deferred: the corpse's tallies fold into the class and
-// group totals when its slot is reused or at Finalize (see fold), so the
-// per-event path writes two bytes instead of updating three accumulators.
-func (l *Ledger) classify(idx int32, c Class) {
+// end stops tracking the live entry at idx: its issue and class (which
+// must be set) fold into the class totals and both group rows, and its
+// slot returns to the free list. Every incarnation folds exactly once:
+// here, or at Finalize for the slab's survivors.
+func (l *Ledger) end(idx int32) {
 	e := &l.entries[idx]
-	e.class = c
 	e.live = false
+	l.fold(e)
+	l.free = append(l.free, idx)
 }
 
 // fold adds one incarnation's issue and terminal outcome to the class
-// totals and both group aggregates. Every incarnation folds exactly once:
-// at slot reuse for the dying one, at Finalize for the slab's survivors.
+// totals and both group aggregates.
 func (l *Ledger) fold(e *entry) {
-	l.classTotals.add(e.class)
-	g := l.regionGroup(RegionOf(e.block))
+	l.classTotals[e.class]++
+	g := &l.regions.rows[e.region]
 	g.issued++
-	g.counts.add(e.class)
-	p := l.pcGroup(e.pc)
+	g.counts[e.class]++
+	p := &l.pcs.rows[e.pc]
 	p.issued++
-	p.counts.add(e.class)
-}
-
-// regionGroup returns (creating if needed) the per-region accumulator,
-// through the one-entry cache. Groups are never deleted, so the cached
-// pointer can never go stale.
-func (l *Ledger) regionGroup(key uint64) *groupStats {
-	if l.rg != nil && l.rgKey == key {
-		return l.rg
-	}
-	g := l.perRegion[key]
-	if g == nil {
-		g = &groupStats{}
-		l.perRegion[key] = g
-	}
-	l.rgKey, l.rg = key, g
-	return g
-}
-
-// pcGroup is regionGroup for the per-PC aggregates.
-func (l *Ledger) pcGroup(key uint64) *groupStats {
-	if l.pg != nil && l.pcKey == key {
-		return l.pg
-	}
-	g := l.perPC[key]
-	if g == nil {
-		g = &groupStats{}
-		l.perPC[key] = g
-	}
-	l.pcKey, l.pg = key, g
-	return g
+	p.counts[e.class]++
 }
 
 // Hint records a demand L2 miss — the event that plants hints into the
@@ -320,21 +373,42 @@ func (l *Ledger) Hint(pc, block uint64) {
 		return
 	}
 	l.hintsSeen++
-	// The fast path — same region and PC as the previous miss, no armed
-	// victims — stays small enough to inline into the memory system's
-	// demand-miss path; the table updates live in the slow halves.
-	if region := block &^ uint64(RegionBytes-1); !l.haveLast || region != l.lastRegion || pc != l.lastPC {
-		l.hintRegion(region, pc)
+	region := block &^ uint64(RegionBytes-1)
+	r := l.lastRow
+	if !l.haveLast || region != l.lastRegion {
+		r = l.regionRow(region)
+		l.lastRegion, l.lastRow, l.haveLast = region, r, true
 	}
-	if l.victims.Len() > 0 {
+	l.regionPC[r] = l.pcRow(pc)
+	if b := victimBucket(block); l.victimBits[b/64]&(1<<(b%64)) != 0 {
 		l.hintVictim(block)
 	}
 }
 
-// hintRegion records a new region/PC attribution pair (Hint's slow path).
-func (l *Ledger) hintRegion(region, pc uint64) {
-	l.regionPC.Set(region, pc)
-	l.lastRegion, l.lastPC, l.haveLast = region, pc, true
+// regionRow returns the region's row, opening it (with no PC link yet)
+// on first use.
+func (l *Ledger) regionRow(region uint64) int32 {
+	r := l.regions.row(region)
+	if int(r) == len(l.regionPC) {
+		l.regionPC = append(l.regionPC, -1)
+	}
+	return r
+}
+
+// pcRow returns the PC's row through the two-entry cache.
+func (l *Ledger) pcRow(pc uint64) int32 {
+	if l.pcRows[0] >= 0 && l.pcKeys[0] == pc {
+		return l.pcRows[0]
+	}
+	var p int32
+	if l.pcRows[1] >= 0 && l.pcKeys[1] == pc {
+		p = l.pcRows[1]
+	} else {
+		p = l.pcs.row(pc)
+	}
+	l.pcKeys[1], l.pcRows[1] = l.pcKeys[0], l.pcRows[0]
+	l.pcKeys[0], l.pcRows[0] = pc, p
+	return p
 }
 
 // hintVictim credits a re-miss to a displaced victim (Hint's slow path).
@@ -346,43 +420,45 @@ func (l *Ledger) hintVictim(block uint64) {
 }
 
 // Issue opens a ledger entry for a prefetch submitted to the memory
-// controller at cycle now. The triggering PC is resolved through the
-// region map (0 when the region was never demand-missed — a pure
-// hardware-internal trigger such as a pointer-chase target). It returns
+// controller at cycle now. The triggering PC is the last one that missed
+// in the block's region (0 when the region was never demand-missed — a
+// pure hardware-internal trigger such as a pointer-chase target). It returns
 // the entry's slab index; the memory system stores it on its in-flight
-// line and hands it back to Fill, Late, and Cancel, so the in-flight
-// phase needs no block lookups at all. Nil-safe (returns -1).
+// line and hands it back to Fill, Late, and Cancel, then passes it to the
+// L2 as the fill's token, which comes back to DemandHit or
+// EvictPrefetched — so no event needs a block lookup at all. Nil-safe
+// (returns -1).
 func (l *Ledger) Issue(block, now uint64, software bool) int32 {
 	if l == nil {
 		return -1
 	}
-	idx, ok := l.byBlock.Get(block)
-	if ok {
-		// Reuse the block's slab slot in place, folding out the previous
-		// incarnation. Normally it is a corpse; a still-live unclassified
-		// entry cannot happen (a present or in-flight block is never
-		// re-issued), but close it as resident-unused defensively rather
-		// than orphan the tally.
-		e := &l.entries[idx]
-		if e.class == noClass {
-			e.class = ClassResidentUnused
-		}
-		l.fold(e)
+	var idx int32
+	if n := len(l.free); n > 0 {
+		idx = l.free[n-1]
+		l.free = l.free[:n-1]
 	} else {
 		l.entries = append(l.entries, entry{})
 		idx = int32(len(l.entries) - 1)
-		l.byBlock.Set(block, idx)
 	}
-	// Resolve the triggering PC. A region prefetch bursts right after the
-	// demand miss that opened the region, so the Hint one-entry cache
-	// usually answers without probing the region table.
-	var pc uint64
-	if region := RegionOf(block); l.haveLast && region == l.lastRegion {
-		pc = l.lastPC
-	} else {
-		pc, _ = l.regionPC.Get(region)
+	region := RegionOf(block)
+	var r int32
+	switch {
+	case l.haveLast && region == l.lastRegion:
+		r = l.lastRow
+	case l.issueOK && region == l.issueRegion:
+		r = l.issueRow
+	default:
+		r = l.regionRow(region)
+		l.issueRegion, l.issueRow, l.issueOK = region, r, true
 	}
-	l.entries[idx] = entry{block: block, pc: pc, class: noClass, live: true}
+	p := l.regionPC[r]
+	if p < 0 {
+		if l.pc0Row < 0 {
+			l.pc0Row = l.pcs.row(0)
+		}
+		p = l.pc0Row
+	}
+	l.entries[idx] = entry{region: r, pc: p, class: noClass, live: true}
 	l.issued++
 	return idx
 }
@@ -412,21 +488,27 @@ func (l *Ledger) DropSoftware() {
 }
 
 // Cancel classifies the in-flight prefetch at slab index idx (from
-// Issue) as fault-cancelled. Nil-safe, and a no-op on idx < 0.
+// Issue) as fault-cancelled and ends it: its data never lands. Nil-safe,
+// and a no-op on idx < 0.
 func (l *Ledger) Cancel(idx int32) {
 	if l == nil || idx < 0 {
 		return
 	}
-	if l.entries[idx].class == noClass {
-		l.classify(idx, ClassCancelled)
+	e := &l.entries[idx]
+	if !e.live {
+		return
 	}
+	if e.class == noClass {
+		e.class = ClassCancelled
+	}
+	l.end(idx)
 }
 
 // Late marks the in-flight prefetch at slab index idx (from Issue) as
-// demand-merged: correct but not timely. The entry stays registered (its
-// fill still lands and the block remains tracked until the cache forgets
-// it) but its class is terminal now; later events on the block are
-// bookkeeping only. Nil-safe, and a no-op on idx < 0.
+// demand-merged: correct but not timely. The entry stays live (its fill
+// still lands and the line stays tracked until the cache forgets it) but
+// its class is terminal now; later events on it only end it. Nil-safe,
+// and a no-op on idx < 0.
 func (l *Ledger) Late(idx int32) {
 	if l == nil || idx < 0 {
 		return
@@ -438,30 +520,29 @@ func (l *Ledger) Late(idx int32) {
 
 // Fill records the data of the prefetch at slab index idx (from Issue)
 // landing in the L2. filled is false when the cache fill was a no-op
-// (block already present — the redundant class). When the fill evicted a
-// victim, victimValid/victimPrefetched describe it: a valid non-prefetched
-// victim is live demand data, which arms the pollution classification and
-// the victim re-miss tracker. Nil-safe, and a no-op on idx < 0.
+// (block already present — the redundant class), which ends the entry.
+// When the fill evicted a victim, victimValid/victimPrefetched describe
+// it: a valid non-prefetched victim is live demand data, which arms the
+// pollution classification and the victim re-miss tracker. Nil-safe, and
+// a no-op on idx < 0.
 func (l *Ledger) Fill(idx int32, now uint64, filled bool, victim uint64, victimValid, victimPrefetched bool) {
 	if l == nil || idx < 0 {
 		return
 	}
-	e := &l.entries[idx]
-	if !e.live {
-		return
-	}
+	// An in-flight prefetch's entry is always live (a cancelled one never
+	// fills), so the common case — a fill that displaced no demand line —
+	// does not touch the slab at all.
 	if !filled {
-		if e.class == noClass {
-			l.classify(idx, ClassRedundant)
-		} else {
-			// Already terminal (late): the no-op fill ends tracking.
-			l.release(idx)
+		// A late prefetch keeps its class; the no-op fill ends tracking.
+		if e := &l.entries[idx]; e.class == noClass {
+			e.class = ClassRedundant
 		}
+		l.end(idx)
 		return
 	}
 	if victimValid && !victimPrefetched {
-		e.victimDemand = true
-		l.victims.Set(victim, 1)
+		l.entries[idx].victimDemand = true
+		l.armVictim(victim)
 	}
 }
 
@@ -491,65 +572,75 @@ func (l *Ledger) VictimDisplaced(block uint64) {
 	if l == nil {
 		return
 	}
+	l.armVictim(block)
+}
+
+// armVictim starts tracking a displaced demand block.
+func (l *Ledger) armVictim(block uint64) {
 	l.victims.Set(block, 1)
+	b := victimBucket(block)
+	l.victimBits[b/64] |= 1 << (b % 64)
 }
 
-// release ends tracking for an already-terminal entry (a late prefetch
-// whose block the cache finally forgot) without re-classifying.
-func (l *Ledger) release(idx int32) {
-	l.entries[idx].live = false
+// victimBucket is block's bit in the victim filter.
+func victimBucket(block uint64) uint64 {
+	return (block / 64) % victimBuckets
 }
 
-// DemandHit records a demand reference to a resident prefetched block —
-// the useful case — and ends tracking for it (the cache clears the
-// block's prefetched mark on the same access). Nil-safe.
-func (l *Ledger) DemandHit(block uint64) {
-	if l == nil {
+// DemandHit records the first demand reference to a resident prefetched
+// line — the useful case, unless the prefetch was already late — and ends
+// tracking for it (the cache clears the line's prefetched mark on the
+// same access). idx is the token the L2 handed back for the line.
+// Nil-safe, and a no-op on idx < 0.
+func (l *Ledger) DemandHit(idx int32) {
+	if l == nil || idx < 0 {
 		return
 	}
-	idx, ok := l.byBlock.Get(block)
-	if !ok || !l.entries[idx].live {
+	e := &l.entries[idx]
+	if !e.live {
 		return
 	}
-	if l.entries[idx].class == noClass {
-		l.classify(idx, ClassUseful)
-	} else {
-		l.release(idx)
+	if e.class == noClass {
+		e.class = ClassUseful
 	}
+	l.end(idx)
 }
 
-// EvictPrefetched records the eviction of a still-prefetch-marked block.
-// An unclassified entry becomes evicted-unused, or pollution when its own
-// fill displaced live demand data. Nil-safe.
-func (l *Ledger) EvictPrefetched(block uint64) {
-	if l == nil {
+// EvictPrefetched records the eviction of a still-prefetch-marked line,
+// given the victim's token. An unclassified entry becomes evicted-unused,
+// or pollution when its own fill displaced live demand data. Nil-safe,
+// and a no-op on idx < 0.
+func (l *Ledger) EvictPrefetched(idx int32) {
+	if l == nil || idx < 0 {
 		return
 	}
-	idx, ok := l.byBlock.Get(block)
-	if !ok || !l.entries[idx].live {
+	e := &l.entries[idx]
+	if !e.live {
 		return
 	}
-	if e := &l.entries[idx]; e.class == noClass {
+	if e.class == noClass {
 		if e.victimDemand {
-			l.classify(idx, ClassPollution)
+			e.class = ClassPollution
 		} else {
-			l.classify(idx, ClassEvictedUnused)
+			e.class = ClassEvictedUnused
 		}
-	} else {
-		l.release(idx)
 	}
+	l.end(idx)
 }
 
-// Finalize classifies every prefetch still unresolved at end of run as
+// Finalize classifies every prefetch still tracked at end of run as
 // resident-unused (still in the cache — or in flight — untouched) and
-// folds the whole slab into the deferred aggregates in one pass. Call
-// once, after the memory system drains. Nil-safe.
+// folds the survivors into the aggregates in one slab pass. Call once,
+// after the memory system drains. Nil-safe.
 func (l *Ledger) Finalize() {
 	if l == nil {
 		return
 	}
 	for i := range l.entries {
 		e := &l.entries[i]
+		if !e.live {
+			continue
+		}
 		if e.class == noClass {
 			e.class = ClassResidentUnused
 		}
@@ -567,13 +658,13 @@ func (l *Ledger) Issued() uint64 {
 }
 
 // Classified returns the count of prefetches folded into the class
-// totals so far (reused incarnations mid-run, everything after Finalize);
-// it can never exceed Issued. Nil-safe.
+// totals so far (ended entries mid-run, everything after Finalize); it
+// can never exceed Issued. Nil-safe.
 func (l *Ledger) Classified() uint64 {
 	if l == nil {
 		return 0
 	}
-	return l.classTotals.Total()
+	return l.classTotals.total()
 }
 
 // CheckConservation verifies the ledger's core invariant: every issued
@@ -584,31 +675,27 @@ func (l *Ledger) CheckConservation() error {
 	if l == nil {
 		return nil
 	}
-	if got := l.classTotals.Total(); got != l.issued {
+	if got := l.classTotals.total(); got != l.issued {
 		return fmt.Errorf("attrib: class totals %d != issued %d (conservation violated)", got, l.issued)
 	}
-	var region, pc Counts
-	sumInto := func(dst *Counts, m map[uint64]*groupStats) uint64 {
+	var region, pc tally
+	sumInto := func(dst *tally, g groups) uint64 {
 		var issued uint64
-		for _, g := range m {
+		for _, g := range g.rows {
 			issued += g.issued
-			dst.Useful += g.counts.Useful
-			dst.Late += g.counts.Late
-			dst.EvictedUnused += g.counts.EvictedUnused
-			dst.Pollution += g.counts.Pollution
-			dst.Redundant += g.counts.Redundant
-			dst.Cancelled += g.counts.Cancelled
-			dst.ResidentUnused += g.counts.ResidentUnused
+			for c, v := range g.counts {
+				dst[c] += v
+			}
 		}
 		return issued
 	}
-	if got := sumInto(&region, l.perRegion); got != l.issued || region != l.classTotals {
+	if got := sumInto(&region, l.regions); got != l.issued || region != l.classTotals {
 		return fmt.Errorf("attrib: per-region totals (issued %d, classes %+v) disagree with ledger (issued %d, classes %+v)",
-			got, region, l.issued, l.classTotals)
+			got, region.counts(), l.issued, l.classTotals.counts())
 	}
-	if got := sumInto(&pc, l.perPC); got != l.issued || pc != l.classTotals {
+	if got := sumInto(&pc, l.pcs); got != l.issued || pc != l.classTotals {
 		return fmt.Errorf("attrib: per-PC totals (issued %d, classes %+v) disagree with ledger (issued %d, classes %+v)",
-			got, pc, l.issued, l.classTotals)
+			got, pc.counts(), l.issued, l.classTotals.counts())
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ func TestLifecycleClasses(t *testing.T) {
 	// Useful: issue, fill, demand hit.
 	id := l.Issue(0x1080, 100, false)
 	l.Fill(id, 300, true, 0, false, false)
-	l.DemandHit(0x1080)
+	l.DemandHit(id)
 
 	// Late: demand merges while in flight.
 	id = l.Issue(0x10c0, 110, false)
@@ -27,12 +27,12 @@ func TestLifecycleClasses(t *testing.T) {
 	// Evicted-unused: fill displaced nothing valid, evicted untouched.
 	id = l.Issue(0x1100, 120, false)
 	l.Fill(id, 330, true, 0, false, false)
-	l.EvictPrefetched(0x1100)
+	l.EvictPrefetched(id)
 
 	// Pollution: fill displaced a valid demand line, evicted untouched.
 	id = l.Issue(0x1140, 130, false)
 	l.Fill(id, 340, true, 0x9000, true, false)
-	l.EvictPrefetched(0x1140)
+	l.EvictPrefetched(id)
 
 	// Redundant: fill was a no-op.
 	id = l.Issue(0x1180, 140, false)
@@ -89,7 +89,7 @@ func TestLateThenReferenced(t *testing.T) {
 	id := l.Issue(0x2000, 10, false)
 	l.Late(id)
 	l.Fill(id, 200, true, 0, false, false)
-	l.DemandHit(0x2000) // L2 still had the prefetched mark set
+	l.DemandHit(id) // L2 still had the prefetched mark set
 	l.Finalize()
 	if err := l.CheckConservation(); err != nil {
 		t.Fatal(err)
@@ -133,6 +133,38 @@ func TestHardwareTriggerPC(t *testing.T) {
 	}
 }
 
+// TestTriggerPCIsLastMissInRegion: a prefetch attributes to the last
+// PC that missed in its region before the issue, whichever region the
+// misses have moved on to since.
+func TestTriggerPCIsLastMissInRegion(t *testing.T) {
+	l := NewLedger()
+	l.Hint(0x40, 0x1000)
+	l.Hint(0x44, 0x1040) // same region, another load
+	l.Hint(0x48, 0x2000) // the misses move on to region 0x2000
+	l.Cancel(l.Issue(0x1080, 10, false))
+	l.Cancel(l.Issue(0x2040, 11, false))
+	l.Cancel(l.Issue(0x3000, 12, false)) // no miss ever in region 0x3000
+	l.Hint(0x4c, 0x1000)                 // region 0x1000 again, new PC
+	l.Cancel(l.Issue(0x10c0, 13, false))
+	l.Finalize()
+	if err := l.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	got := map[uint64]uint64{}
+	for _, r := range l.Summarize().PCs {
+		got[r.Key] = r.Issued
+	}
+	want := map[uint64]uint64{0x44: 1, 0x48: 1, 0: 1, 0x4c: 1}
+	if len(got) != len(want) {
+		t.Fatalf("pcs = %v, want %v", got, want)
+	}
+	for pc, n := range want {
+		if got[pc] != n {
+			t.Fatalf("pcs = %v, want %v", got, want)
+		}
+	}
+}
+
 // TestSlabRecycling drives many short lifecycles through a small working
 // set and checks the slab stops growing once warmed.
 func TestSlabRecycling(t *testing.T) {
@@ -141,7 +173,7 @@ func TestSlabRecycling(t *testing.T) {
 		block := uint64(0x4000 + (i%8)*64)
 		id := l.Issue(block, uint64(i), false)
 		l.Fill(id, uint64(i)+100, true, 0, false, false)
-		l.DemandHit(block)
+		l.DemandHit(id)
 	}
 	if got := len(l.entries); got > 8 {
 		t.Errorf("slab grew to %d entries for an 8-block working set", got)
@@ -152,6 +184,34 @@ func TestSlabRecycling(t *testing.T) {
 	}
 	if s := l.Summarize(); s.Counts.Useful != 1000 {
 		t.Errorf("useful = %d, want 1000", s.Counts.Useful)
+	}
+}
+
+// TestSlabHoldsOnlyTrackedEntries: an ended entry frees its slot, so the
+// slab holds the prefetches still in flight or resident, however many
+// distinct blocks a run prefetches.
+func TestSlabHoldsOnlyTrackedEntries(t *testing.T) {
+	l := NewLedger()
+	var resident []int32
+	for i := 0; i < 4096; i++ {
+		id := l.Issue(uint64(0x100000+i*64), uint64(i), false)
+		l.Fill(id, uint64(i)+100, true, 0, false, false)
+		resident = append(resident, id)
+		if len(resident) == 16 {
+			l.EvictPrefetched(resident[0])
+			resident = resident[1:]
+		}
+	}
+	if got := len(l.entries); got > 16 {
+		t.Errorf("slab grew to %d entries for at most 16 tracked prefetches", got)
+	}
+	l.Finalize()
+	if err := l.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	s := l.Summarize()
+	if s.Counts.EvictedUnused != 4096-15 || s.Counts.ResidentUnused != 15 {
+		t.Errorf("counts = %+v, want %d evicted-unused and 15 resident-unused", s.Counts, 4096-15)
 	}
 }
 
@@ -166,9 +226,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 			id := l.Issue(block, uint64(i), false)
 			l.Fill(id, uint64(i)+100, true, block+0x8000, true, false)
 			if i%2 == 0 {
-				l.DemandHit(block)
+				l.DemandHit(id)
 			} else {
-				l.EvictPrefetched(block)
+				l.EvictPrefetched(id)
 			}
 		}
 	}
@@ -186,7 +246,7 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 	l.Hint(0x40, 0x1000)
 	id := l.Issue(0x1040, 10, false)
 	l.Fill(id, 200, true, 0x9000, true, false)
-	l.EvictPrefetched(0x1040)
+	l.EvictPrefetched(id)
 	l.Issue(0x1080, 20, true)
 	l.Finalize()
 	s := l.Summarize()

@@ -1,8 +1,9 @@
 package attrib
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // GroupSummary is one per-region or per-PC attribution row.
@@ -58,36 +59,37 @@ func (l *Ledger) Summarize() *Summary {
 	}
 	s := &Summary{
 		Issued:             l.issued,
-		Counts:             l.classTotals,
+		Counts:             l.classTotals.counts(),
 		HintsSeen:          l.hintsSeen,
 		HoldsBusy:          l.holdsBusy,
 		DropsHeldPresent:   l.dropsHeld,
 		DropsSoftware:      l.dropsSW,
 		VictimReMisses:     l.victimRemiss,
 		CrossCorePollution: l.crossPoll,
-		RegionsTotal:       len(l.perRegion),
-		PCsTotal:           len(l.perPC),
+		RegionsTotal:       l.regions.issuing(),
+		PCsTotal:           l.pcs.issuing(),
 	}
-	s.Regions = topGroups(l.perRegion)
-	s.PCs = topGroups(l.perPC)
+	s.Regions = topGroups(l.regions)
+	s.PCs = topGroups(l.pcs)
 	return s
 }
 
-// topGroups flattens an aggregate map into rows sorted by issue count
+// topGroups flattens an aggregate table into rows sorted by issue count
 // descending (key ascending on ties — full determinism), cut at MaxGroups.
-func topGroups(m map[uint64]*groupStats) []GroupSummary {
-	rows := make([]GroupSummary, 0, len(m))
-	for k, g := range m {
-		if g.issued == 0 && g.counts.Total() == 0 {
+func topGroups(g groups) []GroupSummary {
+	rows := make([]GroupSummary, 0, len(g.rows))
+	for i := range g.rows {
+		r := &g.rows[i]
+		if r.issued == 0 && r.counts.total() == 0 {
 			continue
 		}
-		rows = append(rows, GroupSummary{Key: k, Issued: g.issued, Counts: g.counts})
+		rows = append(rows, GroupSummary{Key: g.keys[i], Issued: r.issued, Counts: r.counts.counts()})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Issued != rows[j].Issued {
-			return rows[i].Issued > rows[j].Issued
+	slices.SortFunc(rows, func(a, b GroupSummary) int {
+		if a.Issued != b.Issued {
+			return cmp.Compare(b.Issued, a.Issued)
 		}
-		return rows[i].Key < rows[j].Key
+		return cmp.Compare(a.Key, b.Key)
 	})
 	if len(rows) > MaxGroups {
 		rows = rows[:MaxGroups]

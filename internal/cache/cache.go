@@ -76,9 +76,12 @@ func (s Stats) MissRate() float64 {
 	return 100 * float64(s.Misses) / float64(s.Accesses)
 }
 
+// line is 16 bytes: the tag leads so the flags pack behind the token
+// instead of padding the struct out to 24, and LRU promotion copies less.
 type line struct {
-	valid      bool
 	tag        uint64
+	token      int32 // the caller's token for a prefetched line (see FillTracked)
+	valid      bool
 	dirty      bool
 	prefetched bool // filled by a prefetch and not yet demand-referenced
 }
@@ -182,10 +185,17 @@ func (c *Cache) Contains(addr uint64) bool {
 // On a miss nothing is filled: the caller is responsible for calling Fill
 // when the data returns, which lets fill timing be modeled.
 func (c *Cache) Access(addr uint64, write bool) (hit, wasPrefetched bool) {
+	hit, wasPrefetched, _ = c.AccessTracked(addr, write)
+	return hit, wasPrefetched
+}
+
+// AccessTracked is Access that also returns, when wasPrefetched, the
+// token the line's prefetch fill carried (see FillTracked).
+func (c *Cache) AccessTracked(addr uint64, write bool) (hit, wasPrefetched bool, token int32) {
 	c.stats.Accesses++
 	if c.cfg.Perfect {
 		c.stats.Hits++
-		return true, false
+		return true, false, -1
 	}
 	set, tag := c.index(addr)
 	ways := c.ways(set)
@@ -193,10 +203,12 @@ func (c *Cache) Access(addr uint64, write bool) (hit, wasPrefetched bool) {
 		if ways[i].valid && ways[i].tag == tag {
 			c.stats.Hits++
 			ln := ways[i]
+			token = -1
 			if ln.prefetched {
 				c.stats.UsefulPrefetches++
 				ln.prefetched = false
 				wasPrefetched = true
+				token = ln.token
 			}
 			if write {
 				ln.dirty = true
@@ -204,11 +216,11 @@ func (c *Cache) Access(addr uint64, write bool) (hit, wasPrefetched bool) {
 			// Promote to MRU.
 			copy(ways[1:i+1], ways[:i])
 			ways[0] = ln
-			return true, wasPrefetched
+			return true, wasPrefetched, token
 		}
 	}
 	c.stats.Misses++
-	return false, false
+	return false, false, -1
 }
 
 // MarkDirty sets the dirty bit on the block containing addr if present,
@@ -232,9 +244,11 @@ func (c *Cache) MarkDirty(addr uint64) bool {
 
 // Victim describes a block evicted by Fill. Prefetched reports that the
 // victim still carried its prefetched mark — it was filled by a prefetch
-// and evicted without ever being demand-referenced.
+// and evicted without ever being demand-referenced — and Token is then
+// the token that fill carried (see FillTracked).
 type Victim struct {
 	Addr       uint64
+	Token      int32
 	Dirty      bool
 	Prefetched bool
 }
@@ -244,15 +258,19 @@ type Victim struct {
 // if any. Filling a block already present is a no-op (it can happen when a
 // demand fill races a prefetch fill; the line keeps its current state).
 func (c *Cache) Fill(addr uint64, prefetch, dirty bool) (v Victim, evicted bool) {
-	v, evicted, _ = c.FillTracked(addr, prefetch, dirty)
+	v, evicted, _ = c.FillTracked(addr, prefetch, dirty, -1)
 	return v, evicted
 }
 
 // FillTracked is Fill with the no-op case made visible: filled is false
-// when the block was already present and nothing changed. The attribution
-// ledger needs the distinction (a no-op prefetch fill is the redundant
-// class); callers that don't can keep using Fill.
-func (c *Cache) FillTracked(addr uint64, prefetch, dirty bool) (v Victim, evicted, filled bool) {
+// when the block was already present and nothing changed. A prefetch fill
+// also stores token on its line, and the cache hands the token back when
+// the line loses its prefetched mark: from AccessTracked on the first
+// demand reference, or in Victim.Token on eviction untouched. The
+// attribution ledger uses both (a no-op prefetch fill is the redundant
+// class, and the token is the prefetch's slot in the ledger); callers
+// that need neither can keep using Fill.
+func (c *Cache) FillTracked(addr uint64, prefetch, dirty bool, token int32) (v Victim, evicted, filled bool) {
 	if c.cfg.Perfect {
 		return Victim{}, false, false
 	}
@@ -276,7 +294,7 @@ func (c *Cache) FillTracked(addr uint64, prefetch, dirty bool) (v Victim, evicte
 	old := ways[lru]
 	if old.valid {
 		evicted = true
-		v = Victim{Addr: c.reconstruct(set, old.tag), Dirty: old.dirty, Prefetched: old.prefetched}
+		v = Victim{Addr: c.reconstruct(set, old.tag), Token: old.token, Dirty: old.dirty, Prefetched: old.prefetched}
 		if old.dirty {
 			c.stats.Writebacks++
 		}
@@ -284,7 +302,7 @@ func (c *Cache) FillTracked(addr uint64, prefetch, dirty bool) (v Victim, evicte
 			c.stats.UselessPrefetches++
 		}
 	}
-	nl := line{valid: true, tag: tag, dirty: dirty, prefetched: prefetch}
+	nl := line{tag: tag, token: token, valid: true, dirty: dirty, prefetched: prefetch}
 	if prefetch && !c.cfg.PrefetchInsertMRU {
 		// Insert at LRU: the new line replaces the old LRU in place, and
 		// will itself be the next victim unless the CPU references it.

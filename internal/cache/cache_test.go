@@ -316,16 +316,16 @@ func mustNew(t *testing.T, cfg Config) *Cache {
 func TestFillTracked(t *testing.T) {
 	c, _ := New(testConfig())
 
-	if _, _, filled := c.FillTracked(0x1000, true, false); !filled {
+	if _, _, filled := c.FillTracked(0x1000, true, false, -1); !filled {
 		t.Fatal("first fill reported as no-op")
 	}
-	if _, _, filled := c.FillTracked(0x1000, true, false); filled {
+	if _, _, filled := c.FillTracked(0x1000, true, false, -1); filled {
 		t.Fatal("refill of a present block not reported as no-op")
 	}
 
 	// The prefetch sits in the LRU slot, so the next fill to the same set
 	// (16 sets: +0x400 aliases) victimizes it while still marked.
-	v, evicted, filled := c.FillTracked(0x1400, false, false)
+	v, evicted, filled := c.FillTracked(0x1400, false, false, -1)
 	if !filled {
 		t.Fatal("demand fill reported as no-op")
 	}
@@ -341,11 +341,30 @@ func TestFillTracked(t *testing.T) {
 	c2.Fill(0x2000, true, false)
 	c2.Access(0x2000, false)
 	for i := 1; i <= 4; i++ {
-		if v, evicted, _ := c2.FillTracked(uint64(0x2000+i*0x400), false, false); evicted {
+		if v, evicted, _ := c2.FillTracked(uint64(0x2000+i*0x400), false, false, -1); evicted {
 			if v.Addr == 0x2000 && v.Prefetched {
 				t.Fatal("demand-referenced prefetch victim still marked prefetched")
 			}
 		}
+	}
+}
+
+// TestPrefetchToken: a prefetch fill's token comes back exactly once, at
+// the first demand reference or in the victim when evicted untouched.
+func TestPrefetchToken(t *testing.T) {
+	c, _ := New(testConfig())
+	c.FillTracked(0x1040, true, false, 7)
+	c.FillTracked(0x2000, true, false, 9)
+	if hit, wasPF, tok := c.AccessTracked(0x1040, false); !hit || !wasPF || tok != 7 {
+		t.Fatalf("first reference = (%v, %v, %d), want (true, true, 7)", hit, wasPF, tok)
+	}
+	if hit, wasPF, tok := c.AccessTracked(0x1040, false); !hit || wasPF || tok != -1 {
+		t.Fatalf("second reference = (%v, %v, %d), want (true, false, -1)", hit, wasPF, tok)
+	}
+	// 16 sets: +0x400 aliases 0x2000's set; the prefetch sits at LRU.
+	v, evicted, _ := c.FillTracked(0x2400, false, false, -1)
+	if !evicted || v.Addr != 0x2000 || !v.Prefetched || v.Token != 9 {
+		t.Fatalf("victim = %+v (evicted %v), want the untouched prefetch 0x2000 with token 9", v, evicted)
 	}
 }
 
@@ -354,7 +373,7 @@ func TestPerfectFillTracked(t *testing.T) {
 	cfg := testConfig()
 	cfg.Perfect = true
 	c, _ := New(cfg)
-	if _, evicted, filled := c.FillTracked(0x1000, true, false); evicted || filled {
+	if _, evicted, filled := c.FillTracked(0x1000, true, false, -1); evicted || filled {
 		t.Fatal("perfect cache filled")
 	}
 }

@@ -224,6 +224,43 @@ func TestEngineDedupExactlyOnce(t *testing.T) {
 	}
 }
 
+// staleProbeBackend answers the next Get with a miss, as a cache probe
+// does when it runs just before another flight stores the cell.
+type staleProbeBackend struct {
+	*MemBackend
+	missNext bool
+}
+
+func (b *staleProbeBackend) Get(k CellKey) (*core.Result, bool) {
+	if b.missNext {
+		b.missNext = false
+		return nil, false
+	}
+	return b.MemBackend.Get(k)
+}
+
+// TestEngineDedupStaleProbe: a caller whose cache probe missed a cell
+// that a finished flight has since stored becomes the next leader, and
+// must find the cell instead of simulating it a second time.
+func TestEngineDedupStaleProbe(t *testing.T) {
+	b := &staleProbeBackend{MemBackend: NewMemBackend()}
+	e := New(Config{Backend: b, Dedup: true})
+	job := testJob("mcf")
+	first, _, _, err := e.RunOne(context.Background(), 0, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.missNext = true
+	r, hit, _, err := e.RunOne(context.Background(), 0, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sims := e.Simulations(); sims != 1 || !hit || r != first {
+		t.Fatalf("after a stale probe: %d simulations, hit %v, same result %v; want 1, true, true",
+			sims, hit, r == first)
+	}
+}
+
 // TestEngineDedupDistinctCells: dedup must not conflate different cells.
 func TestEngineDedupDistinctCells(t *testing.T) {
 	e := New(Config{Backend: NewMemBackend(), Dedup: true})

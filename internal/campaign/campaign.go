@@ -369,13 +369,23 @@ func (e *Engine) RunOne(ctx context.Context, i int, j Job) (*core.Result, bool, 
 		}
 	}
 	if e.flight != nil && key.Digest != "" {
+		hit := false
 		r, shared, err := e.flight.do(ctx, key.Digest, func() (*core.Result, error) {
+			// The probe above can miss just before another flight for
+			// this cell stores it and ends, which makes this call a new
+			// leader; probe again rather than simulate the cell twice.
+			if p, ok := e.store.(Prober); ok && useCache && p.Contains(key) {
+				if r, ok := e.store.Get(key); ok {
+					hit = true
+					return r, nil
+				}
+			}
 			return e.simulate(ctx, i, j, key, useCache)
 		})
 		if shared {
 			e.dedups.Add(1)
 		}
-		return r, shared, key, err
+		return r, shared || hit, key, err
 	}
 	r, err := e.simulate(ctx, i, j, key, useCache)
 	return r, false, key, err

@@ -31,7 +31,9 @@ import (
 // old, so the sync rides on a later append (or Close). A crash can
 // therefore lose at most the last interval's completions — which resume
 // simply re-runs, since the cache already holds most of them — in
-// exchange for not paying one fsync per cell on fast sweeps.
+// exchange for not paying one fsync per cell on fast sweeps. The sync an
+// append starts runs on a background goroutine, so the cell that crosses
+// the interval does not wait for the disk either.
 
 // journalSchemaVersion invalidates journals across layout changes.
 const journalSchemaVersion = 1
@@ -96,6 +98,9 @@ type Journal struct {
 	lastSync  time.Time
 	dirty     bool
 	syncEvery time.Duration
+	inSync    bool           // a background group commit is running
+	syncing   sync.WaitGroup // tracks it, for Close
+	syncErr   error          // its failure, reported by the next append or Close
 }
 
 // OpenJournal opens (or, with resume, reopens) the journal for a sweep
@@ -386,14 +391,33 @@ func (j *Journal) append(rec logRecord) error {
 		return fmt.Errorf("campaign: appending journal record: %w", err)
 	}
 	j.dirty = true
-	if now := time.Now(); now.Sub(j.lastSync) >= j.syncEvery {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("campaign: syncing journal: %w", err)
-		}
-		j.dirty = false
-		j.lastSync = now
+	err = nil
+	if j.syncErr != nil {
+		err = fmt.Errorf("campaign: syncing journal: %w", j.syncErr)
+		j.syncErr = nil
 	}
-	return nil
+	if now := time.Now(); !j.inSync && now.Sub(j.lastSync) >= j.syncEvery {
+		j.startSync(now)
+	}
+	return err
+}
+
+// startSync group-commits every record written so far on a background
+// goroutine. The caller holds j.mu.
+func (j *Journal) startSync(now time.Time) {
+	j.inSync, j.dirty, j.lastSync = true, false, now
+	j.syncing.Add(1)
+	go func(f *os.File) {
+		defer j.syncing.Done()
+		err := f.Sync()
+		j.mu.Lock()
+		j.inSync = false
+		if err != nil {
+			j.syncErr = err
+			j.dirty = true
+		}
+		j.mu.Unlock()
+	}(j.f)
 }
 
 // Close syncs any pending records and releases the sweep lock. The
@@ -404,10 +428,18 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var err error
+	for j.inSync {
+		j.mu.Unlock()
+		j.syncing.Wait()
+		j.mu.Lock()
+	}
+	err := j.syncErr
+	j.syncErr = nil
 	if j.f != nil {
 		if j.dirty {
-			err = j.f.Sync()
+			if serr := j.f.Sync(); err == nil {
+				err = serr
+			}
 		}
 		if cerr := j.f.Close(); err == nil {
 			err = cerr

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"grp/internal/core"
@@ -72,6 +73,46 @@ func TestJournalRoundTrip(t *testing.T) {
 
 // TestJournalTornTailTolerated: a crash can tear the last log line; the
 // resume must keep every whole record and ignore the fragment.
+// TestJournalBackgroundSync drives concurrent appends with a zero sync
+// interval, so every append that finds no group commit running starts
+// one in the background; Close must wait for them and lose nothing.
+func TestJournalBackgroundSync(t *testing.T) {
+	dir := t.TempDir()
+	keys := testKeys(64)
+	j, err := OpenJournal(dir, "spec", keys, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.syncEvery = 0
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(keys); i += 4 {
+				if err := j.RecordDone(i, keys[i].Digest); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j.inSync {
+		t.Fatal("Close returned with a group commit still running")
+	}
+	r, err := OpenJournal(dir, "spec", keys, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.CompletedCount(); got != len(keys) {
+		t.Fatalf("resumed journal has %d completions, want %d", got, len(keys))
+	}
+}
+
 func TestJournalTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	keys := testKeys(3)

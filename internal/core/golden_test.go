@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"grp/internal/faults"
 	"grp/internal/workloads"
 )
 
@@ -39,7 +40,26 @@ func goldenOptions() Options {
 // whose timing the paper's tables compare (perfect caches are covered by
 // the cycle-bound checks in internal/conformance instead).
 func goldenSchemes() []Scheme {
-	return []Scheme{NoPrefetch, StridePF, GHB, SRP, GRPFix, GRPVar, GRPAdaptive}
+	return []Scheme{NoPrefetch, StridePF, GHB, SRP, GRPFix, GRPVar, GRPAdaptive, PointerOnly}
+}
+
+// goldenVariants pins option settings the default-options grid never
+// runs: the SRP ablations, open-page-first issue (which ptr ignores,
+// popping in index order), a one-level recursion depth, and grp-adaptive
+// under dropped hints, which walks its ladder up to the fallback rungs.
+var goldenVariants = []struct {
+	name   string
+	bench  string
+	scheme Scheme
+	set    func(*Options)
+}{
+	{"fifo", "mcf", SRP, func(o *Options) { o.SRPFIFO = true }},
+	{"region16", "wupwise", SRP, func(o *Options) { o.SRPRegionBlocks = 16 }},
+	{"openpage", "wupwise", SRP, func(o *Options) { o.OpenPageFirst = true }},
+	{"openpage", "mcf", GRPVar, func(o *Options) { o.OpenPageFirst = true }},
+	{"openpage", "parser", PointerOnly, func(o *Options) { o.OpenPageFirst = true }},
+	{"depth1", "mcf", GRPVar, func(o *Options) { o.RecursionDepth = 1 }},
+	{"drop-hint", "twolf", GRPAdaptive, func(o *Options) { o.Faults = &faults.Plan{Seed: 7, DropHint: 0.95} }},
 }
 
 // goldenSnapshot is one committed cell snapshot. Digests are hex strings
@@ -149,6 +169,38 @@ func goldenPath(bench string, sc Scheme) string {
 	return filepath.Join("testdata", "golden", name)
 }
 
+// checkGolden compares r against the snapshot at path, or rewrites the
+// snapshot under -update.
+func checkGolden(t *testing.T, path string, r *Result) {
+	t.Helper()
+	got := snapshotOf(r)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden snapshot (run with -update to generate): %v", err)
+	}
+	var want goldenSnapshot
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("corrupt golden snapshot %s: %v", path, err)
+	}
+	if diffs := diffFields(got, want); len(diffs) > 0 {
+		t.Errorf("%s diverges from golden snapshot; first divergent field:\n  %s",
+			path, strings.Join(diffs, "\n  "))
+	}
+}
+
 // TestGoldenSnapshots simulates every kernel × scheme cell at Test factor
 // and compares the result against the committed snapshot. With -update it
 // rewrites the testdata instead. On mismatch it names the first divergent
@@ -156,11 +208,6 @@ func goldenPath(bench string, sc Scheme) string {
 // got X, want Y" rather than a JSON blob diff.
 func TestGoldenSnapshots(t *testing.T) {
 	opt := goldenOptions()
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, bench := range workloads.Names() {
 		for _, sc := range goldenSchemes() {
 			bench, sc := bench, sc
@@ -173,34 +220,32 @@ func TestGoldenSnapshots(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := snapshotOf(r)
-				path := goldenPath(bench, sc)
-
-				if *updateGolden {
-					data, err := json.MarshalIndent(got, "", "  ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden snapshot (run with -update to generate): %v", err)
-				}
-				var want goldenSnapshot
-				if err := json.Unmarshal(data, &want); err != nil {
-					t.Fatalf("corrupt golden snapshot %s: %v", path, err)
-				}
-				if diffs := diffFields(got, want); len(diffs) > 0 {
-					t.Errorf("%s/%s diverges from golden snapshot; first divergent field:\n  %s",
-						bench, sc, strings.Join(diffs, "\n  "))
-				}
+				checkGolden(t, goldenPath(bench, sc), r)
 			})
 		}
+	}
+}
+
+// TestGoldenVariants checks each goldenVariants cell against its snapshot
+// in testdata/golden-variants, kept apart from the grid's directory so
+// TestGoldenCoverage's stale-file check still holds.
+func TestGoldenVariants(t *testing.T) {
+	for _, v := range goldenVariants {
+		v := v
+		t.Run(fmt.Sprintf("%s/%s/%s", v.bench, v.scheme, v.name), func(t *testing.T) {
+			spec, err := workloads.ByName(v.bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := goldenOptions()
+			v.set(&opt)
+			r, err := Run(spec, v.scheme, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s__%s__%s.json", v.bench, strings.ReplaceAll(v.scheme.String(), "/", "-"), v.name)
+			checkGolden(t, filepath.Join("testdata", "golden-variants", name), r)
+		})
 	}
 }
 

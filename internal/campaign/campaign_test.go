@@ -319,6 +319,29 @@ func TestSpecParse(t *testing.T) {
 	}
 }
 
+// TestSpecSRPRegionAxis: srp.region takes 0 and the powers of two in
+// [2, 64], and rejects every other size when the spec is parsed, naming
+// the field and value.
+func TestSpecSRPRegionAxis(t *testing.T) {
+	g, err := ParseSpec("schemes=srp × kernels=wupwise × srp.region=0,2,16,64", testOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{0, 2, 16, 64} {
+		if got := g.Cells[i].Opt.SRPRegionBlocks; got != want {
+			t.Errorf("cell %d: SRPRegionBlocks %d, want %d", i, got, want)
+		}
+	}
+	for _, bad := range []string{"1", "3", "48", "100", "128", "-1"} {
+		_, err := ParseSpec("schemes=srp × kernels=wupwise × srp.region="+bad, testOpt())
+		if err == nil {
+			t.Errorf("srp.region=%s parsed without error", bad)
+		} else if !strings.Contains(err.Error(), "SRPRegionBlocks "+bad) {
+			t.Errorf("srp.region=%s: error %q does not name the field and value", bad, err)
+		}
+	}
+}
+
 // TestSpecCoRunAxis: the corun axis lands in Options.CoRun ('+'-joined
 // for 3+ cores, "none" = solo) and corun=all expands to the full
 // co-runner column, so kernels=all × corun=all is the co-run matrix.

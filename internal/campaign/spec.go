@@ -324,7 +324,8 @@ var axisSetters = map[string]func(*core.Options, string) error{
 			return err
 		}
 		o.SRPRegionBlocks = n
-		return nil
+		// Reject a size the engine cannot build now, as Run would.
+		return (&core.Options{SRPRegionBlocks: n}).Validate()
 	},
 	"openpage": func(o *core.Options, v string) error {
 		b, err := strconv.ParseBool(v)

@@ -111,7 +111,7 @@ type Options struct {
 	// hardware's LIFO scheduling (ablation; SRP scheme only).
 	SRPFIFO bool
 	// SRPRegionBlocks overrides the SRP region size in blocks when
-	// nonzero (ablation; power of two ≤ 64).
+	// nonzero (ablation; a power of two in [2, 64], checked by Validate).
 	SRPRegionBlocks int
 	// RecursionDepth overrides GRP's recursive chase depth when nonzero.
 	RecursionDepth uint8
@@ -178,9 +178,14 @@ type Options struct {
 }
 
 // Validate checks the run options: any overridden CPU, cache, or DRAM
-// configuration and the fault plan must be internally consistent. Run
+// configuration and the fault plan must be internally consistent, and an
+// SRP region-size override must be a region the queue can hold. Run
 // calls it; drivers may call it earlier for friendlier errors.
 func (o *Options) Validate() error {
+	if n := o.SRPRegionBlocks; n != 0 && (n < 2 || n > prefetch.RegionBlocks || n&(n-1) != 0) {
+		return fmt.Errorf("core: SRPRegionBlocks %d: want 0 (the default) or a power of two in [2, %d]",
+			n, prefetch.RegionBlocks)
+	}
 	if o.CPU != nil {
 		if err := o.CPU.Validate(); err != nil {
 			return err
@@ -477,12 +482,7 @@ func engineFor(scheme Scheme, spec *workloads.Spec, m *mem.Memory, opt Options) 
 	case StridePF:
 		return prefetch.NewStride(prefetch.DefaultStrideConfig())
 	case SRP:
-		e := prefetch.NewSRP()
-		e.FIFO = opt.SRPFIFO
-		if opt.SRPRegionBlocks != 0 {
-			e.RegionBlocks = opt.SRPRegionBlocks
-		}
-		return e
+		return prefetch.NewSRPAblation(opt.SRPRegionBlocks, opt.SRPFIFO)
 	case GRPFix, GRPVar:
 		cfg := prefetch.DefaultGRPConfig()
 		cfg.Variable = scheme == GRPVar

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"grp/internal/workloads"
@@ -56,5 +58,40 @@ func TestSchemeOrdering(t *testing.T) {
 	}
 	if grp.Hints.Spatial == 0 {
 		t.Errorf("wupwise should have spatial hints, got %+v", grp.Hints)
+	}
+}
+
+// TestValidateSRPRegionBlocks: an SRP region-size override must be 0 (the
+// paper's 4 KB) or a power of two in [2, 64]; anything else used to run
+// silently as a misaligned region, as 64 blocks, or as no prefetching at
+// all, each under its own cache key.
+func TestValidateSRPRegionBlocks(t *testing.T) {
+	cases := []struct {
+		blocks int
+		ok     bool
+	}{
+		{0, true}, {2, true}, {4, true}, {16, true}, {32, true}, {64, true},
+		{1, false}, {3, false}, {48, false}, {100, false}, {128, false}, {-1, false}, {-64, false},
+	}
+	for _, tc := range cases {
+		opt := Options{Factor: workloads.Test, SRPRegionBlocks: tc.blocks}
+		err := opt.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("SRPRegionBlocks %d rejected: %v", tc.blocks, err)
+		}
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("SRPRegionBlocks %d accepted", tc.blocks)
+			} else if !strings.Contains(err.Error(), fmt.Sprintf("SRPRegionBlocks %d", tc.blocks)) {
+				t.Errorf("SRPRegionBlocks %d: error %q does not name the field and value", tc.blocks, err)
+			}
+		}
+	}
+	spec, err := workloads.ByName("wupwise")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(spec, SRP, Options{Factor: workloads.Test, SRPRegionBlocks: 48}); err == nil {
+		t.Error("Run accepted a 48-block SRP region")
 	}
 }

@@ -50,9 +50,6 @@ type faulty struct {
 	inj   Faults
 }
 
-// Unwrap returns the engine underneath the fault decorator.
-func (f *faulty) Unwrap() Engine { return f.inner }
-
 func (f *faulty) Name() string { return f.inner.Name() }
 
 func (f *faulty) OnL2DemandMiss(ev MissEvent) {
@@ -137,12 +134,3 @@ func (q *regionQueue) checkInvariants() error {
 	}
 	return nil
 }
-
-// CheckInvariants implements Checker.
-func (s *SRP) CheckInvariants() error { return s.q.checkInvariants() }
-
-// CheckInvariants implements Checker.
-func (g *GRP) CheckInvariants() error { return g.q.checkInvariants() }
-
-// CheckInvariants implements Checker.
-func (p *PointerOnly) CheckInvariants() error { return p.q.checkInvariants() }

@@ -121,7 +121,7 @@ func TestLadderMonotoneAccuracyConverges(t *testing.T) {
 			for i := 0; i < ladderEpochIssues; i++ {
 				l.RecordUseful(false)
 				l.RecordMiss()
-				l.RecordIssue() // the 256th issue closes the epoch
+				l.RecordIssue() // the ladderEpochIssues-th issue closes the epoch
 			}
 		}
 		var prev LadderState

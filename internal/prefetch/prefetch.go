@@ -1,12 +1,16 @@
-// Package prefetch implements the prefetch engines compared in the paper:
+// Package prefetch implements the prefetch engines compared in the paper
+// and its post-paper contenders:
 //
-//   - SRP, scheduled region prefetching (Lin et al.), which allocates a
-//     4 KB region entry on every L2 miss;
+//   - Region, the one region engine: a LIFO queue of region entries, a
+//     pointer scanner and PREFI indirect prefetching. Its operating
+//     points are the schemes srp (scheduled region prefetching, Lin et
+//     al.: a 4 KB region on every L2 miss), grp/fix and grp/var (the
+//     paper's contribution: that hardware gated and extended by compiler
+//     hints), ptr (the pure-hardware greedy pointer prefetcher of
+//     Section 3.2, Figure 9) and grp-adaptive (grp/var whose operating
+//     point follows a 5-rung aggressiveness ladder);
 //   - Stride, Sherwood-style predictor-directed stream buffers;
-//   - GRP, the paper's contribution: SRP hardware gated and extended by
-//     compiler hints (spatial, size, pointer, recursive pointer, indirect);
-//   - PointerOnly, the pure-hardware greedy pointer prefetcher of
-//     Section 3.2 (used for Figure 9);
+//   - GHB, a PC/DC Global History Buffer (Nesbit & Smith);
 //   - Null, no prefetching.
 //
 // All engines produce block-granularity prefetch candidates that the memory
@@ -142,8 +146,9 @@ type regionQueue struct {
 	// push ever reallocates.
 	entries []regionEntry
 	// cap, when nonzero, overrides QueueSize as the occupancy bound. The
-	// adaptive engine's conservative rungs shrink it to throttle how much
-	// speculation is buffered; every other engine leaves it 0.
+	// region engine sets it from its row on every primary miss; only
+	// grp-adaptive's conservative rungs shrink it, to throttle how much
+	// speculation is buffered.
 	cap int
 }
 

@@ -394,6 +394,57 @@ func TestPointerOnlyChase(t *testing.T) {
 	}
 }
 
+// TestSRPAblations: the FIFO ablation issues from the oldest region and a
+// recycled region keeps its place; the region-size ablation builds
+// aligned regions of the requested size.
+func TestSRPAblations(t *testing.T) {
+	s := NewSRPAblation(0, true)
+	s.OnL2DemandMiss(MissEvent{Addr: 0x10000, Present: notPresent})
+	s.OnL2DemandMiss(MissEvent{Addr: 0x20000, Present: notPresent})
+	s.OnL2DemandMiss(MissEvent{Addr: 0x20000 + 5*64, Present: notPresent})
+	if st := s.Stats(); st.RegionsAllocated != 2 || st.RegionsRecycled != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if b, ok := s.Pop(notPresent); !ok || b != 0x10000+64 {
+		t.Errorf("FIFO pop = %#x, want the oldest region's block 1", b)
+	}
+
+	s = NewSRPAblation(16, false)
+	s.OnL2DemandMiss(MissEvent{Addr: 0x10000 + 20*64, Present: notPresent})
+	if s.Stats().RegionSizeDist[16] != 1 {
+		t.Fatalf("want one 16-block region: %v", s.Stats().RegionSizeDist)
+	}
+	n := 0
+	for b, ok := s.Pop(notPresent); ok; b, ok = s.Pop(notPresent) {
+		if b < 0x10000+16*64 || b >= 0x10000+32*64 {
+			t.Fatalf("candidate %#x outside the aligned 1 KB region", b)
+		}
+		n++
+	}
+	if n != 15 {
+		t.Errorf("popped %d candidates, want 15", n)
+	}
+}
+
+// TestHardwareOnlyRowsIgnoreCompilerInfo: srp and ptr see no PREFI, and
+// ptr pops in index order even under open-page-first issue.
+func TestHardwareOnlyRowsIgnoreCompilerInfo(t *testing.T) {
+	fm := &fakeMem{words: map[uint64]uint64{0x100000: 0x300000}, lo: 0x100000, hi: 0x900000}
+	for _, e := range []*Region{NewSRP(), NewPointerOnly(fm, 2)} {
+		e.Indirect(0x100000, 0x200000, 3)
+		if st := e.Stats(); st.IndirectInstrs != 0 || e.QueueLen() != 0 {
+			t.Errorf("%s: PREFI counted or queued: %+v", e.Name(), st)
+		}
+	}
+	p := NewPointerOnly(fm, 2)
+	p.OnL2DemandMiss(MissEvent{Addr: 0x100000, Present: notPresent})
+	p.OnArrival(0x100000)
+	rowOpen := func(b uint64) bool { return b == 0x300040 }
+	if b, ok := p.PopOpenFirst(notPresent, rowOpen); !ok || b != 0x300000 {
+		t.Errorf("ptr PopOpenFirst = %#x, want index-order 0x300000", b)
+	}
+}
+
 func TestNullEngine(t *testing.T) {
 	n := NewNull()
 	n.OnL2DemandMiss(MissEvent{Addr: 1})

@@ -100,8 +100,9 @@ func main() {
 	if *corun != "" {
 		// Co-run mode replaces the single-cell campaign path entirely:
 		// RunCoRun drives all cores over the shared fabric and the report
-		// is the per-core slowdown table. Single-core-only instruments
-		// (telemetry, timelines, faults) are rejected by the engine.
+		// is the per-core slowdown table. Telemetry describes one core, so
+		// the engine rejects it with two or more; a fault plan arms one
+		// injector for the whole system.
 		if *compare || *cacheOn || *perfetto != "" {
 			log.Fatal("-corun does not combine with -compare, -cache, or -perfetto")
 		}
@@ -143,9 +144,11 @@ func main() {
 	r := results[0]
 	core.FprintResult(os.Stdout, r)
 	if opt.Faults != nil {
-		fmt.Printf("faults injected: %v, cancelled=%d (arch digest %#016x)\n",
-			r.FaultCounts, r.Mem.PrefetchesCancelled, r.ArchDigest)
+		fmt.Printf("faults injected: %v, cancelled=%d\n", r.FaultCounts, r.Mem.PrefetchesCancelled)
 	}
+	// Faults perturb timing only: a faulted run prints its fault-free
+	// run's digest.
+	fmt.Printf("arch digest %#016x\n", r.ArchDigest)
 	if len(results) > 1 {
 		core.FprintCompare(os.Stdout, r, results[1])
 	}
@@ -198,6 +201,12 @@ func runCoRun(bench, list string, sc core.Scheme, opt core.Options, attribFile *
 		log.Fatal(err)
 	}
 	core.FprintCoRun(os.Stdout, cr)
+	if opt.Faults != nil {
+		fmt.Printf("faults injected: %v\n", cr.Results[0].FaultCounts)
+	}
+	for _, r := range cr.Results {
+		fmt.Printf("core %d (%s) arch digest %#016x\n", r.CoRun.Core, r.Bench, r.ArchDigest)
+	}
 	if opt.Attrib {
 		for _, r := range cr.Results {
 			fmt.Printf("\ncore %d (%s):", r.CoRun.Core, r.Bench)

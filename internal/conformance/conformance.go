@@ -76,11 +76,12 @@ type Config struct {
 	Tamper func(m *mem.Memory, block uint64)
 	// TimingCheck reruns every clean (fault-free) realistic-scheme cell on
 	// the retained legacy engine (core.Options.LegacyEngine) and demands
-	// cycle-for-cycle equality with the overhauled hot path. It is the
-	// timing-equivalence mode guarding the event-queue/pool rewrite:
-	// architectural digests alone would let a timing regression slip
-	// through, since prefetching only perturbs timing. Failures carry the
-	// kind "timing-divergence". Roughly doubles campaign cost.
+	// that every Result field but the attribution summary equal the timing
+	// engine's, which runs the cell as a one-core system. It is the
+	// timing referee of the one engine: architectural digests alone would
+	// let a timing regression slip through, since prefetching only
+	// perturbs timing. Failures carry the kind "timing-divergence" and
+	// name the first divergent field. Roughly doubles campaign cost.
 	TimingCheck bool
 	// Progress, when non-nil, is called after each checked program with
 	// the completion count, total, and failures so far. Serialized.
@@ -360,9 +361,9 @@ func CheckWorkload(cfg Config, seed int64, w *progen.Workload) *ProgramReport {
 }
 
 // checkTiming reruns one clean cell on the legacy engine and asserts the
-// two hot paths are cycle-exact twins: same cycle count and same
-// architectural and memory digests. Any difference is a bug in the
-// overhauled engine (or a behavioral drift in the retained legacy copy).
+// two engines are twins: every Result field but the attribution summary
+// agrees (see DiffResults). Any difference is a bug in the timing engine
+// (or a behavioral drift in the retained legacy copy).
 func checkTiming(cfg Config, spec *workloads.Spec, r *core.Result, pr *ProgramReport, fail func(core.Scheme, string, string, string), sc core.Scheme) {
 	opt := cloneOptions(cfg.Base)
 	opt.CheckInvariants = true
@@ -374,15 +375,9 @@ func checkTiming(cfg Config, spec *workloads.Spec, r *core.Result, pr *ProgramRe
 		fail(sc, "legacy", "run-error", err.Error())
 		return
 	}
-	if lr.CPU.Cycles != r.CPU.Cycles {
+	if diffs := DiffResults(r, lr); len(diffs) > 0 {
 		fail(sc, "legacy", "timing-divergence",
-			fmt.Sprintf("new engine %d cycles, legacy engine %d", r.CPU.Cycles, lr.CPU.Cycles))
-		return
-	}
-	if lr.ArchDigest != r.ArchDigest || lr.MemDigest != r.MemDigest {
-		fail(sc, "legacy", "timing-divergence",
-			fmt.Sprintf("digest drift: new arch %016x mem %016x, legacy arch %016x mem %016x",
-				r.ArchDigest, r.MemDigest, lr.ArchDigest, lr.MemDigest))
+			fmt.Sprintf("engine vs legacy engine; first divergent field: %s", diffs[0]))
 	}
 }
 

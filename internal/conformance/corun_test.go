@@ -8,36 +8,6 @@ import (
 	"grp/internal/sim"
 )
 
-// corunFleetN returns the fleet size for the N=1 equivalence battery:
-// the issue's 200-program bar, trimmed under -short so the suite stays
-// fast in presubmit (CI runs the full fleet in the multicore job).
-func corunFleetN(t *testing.T) int {
-	if testing.Short() {
-		return 25
-	}
-	return 200
-}
-
-// TestCoRunSingleCoreEquivalenceFleet is the tentpole equivalence proof:
-// over the generated-program fleet, a 1-core co-run is field-for-field
-// identical to the single-cell engine — cycles, every cache/DRAM/memory
-// counter, digests, and the attribution summary. Any divergence reports
-// its first divergent field.
-func TestCoRunSingleCoreEquivalenceFleet(t *testing.T) {
-	rep, err := RunCoRun(CoRunConfig{
-		N:       corunFleetN(t),
-		Seed:    1,
-		Jobs:    4,
-		Schemes: []core.Scheme{core.GRPVar},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed() {
-		t.Fatalf("1-core co-run diverged from the single-cell engine:\n%s", rep.Summary())
-	}
-}
-
 // TestCoRunPairInvarianceFleet runs a smaller fleet as 2-core
 // self-co-runs across the full realistic scheme set: architectural and
 // memory digests must match solo, no core may beat its solo cycle
@@ -52,7 +22,6 @@ func TestCoRunPairInvarianceFleet(t *testing.T) {
 		N:    n,
 		Seed: 101,
 		Jobs: 4,
-		Pair: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +44,6 @@ func TestTamperedArbiterCaught(t *testing.T) {
 	rep, err := RunCoRun(CoRunConfig{
 		N:       10,
 		Seed:    1,
-		Pair:    true,
 		Schemes: []core.Scheme{core.GRPVar},
 	})
 	if err != nil {
@@ -103,7 +71,6 @@ func TestTamperedArbiterCaught(t *testing.T) {
 	rep, err = RunCoRun(CoRunConfig{
 		N:       10,
 		Seed:    1,
-		Pair:    true,
 		Schemes: []core.Scheme{core.GRPVar},
 	})
 	if err != nil {

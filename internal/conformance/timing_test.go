@@ -2,12 +2,12 @@ package conformance
 
 import "testing"
 
-// TestTimingEquivalence is the timing-equivalence gate for the hot-path
-// overhaul: generated programs run through every realistic scheme on both
-// the overhauled engine and the retained legacy engine, and the two must
-// agree cycle-for-cycle (plus arch/mem digests). 200 programs in full
-// mode — the count the engine rewrite was signed off against — and a
-// fast slice under -short.
+// TestTimingEquivalence is the timing referee of the one engine:
+// generated programs run through every realistic scheme on both the
+// timing engine (as a one-core system) and the retained legacy engine,
+// and the two must agree on every Result field but the attribution
+// summary. 200 programs in full mode — the count the engine rewrite was
+// signed off against — and a fast slice under -short.
 func TestTimingEquivalence(t *testing.T) {
 	n := 200
 	if testing.Short() {

@@ -121,7 +121,9 @@ type Options struct {
 	// Metrics enables the telemetry layer: a per-run registry of
 	// counters/gauges/latency histograms plus the cycle-driven sampler,
 	// snapshotted into Result.Metrics after the run. Off by default; a
-	// run without it pays no instrumentation cost.
+	// run without it pays no instrumentation cost. It describes one core,
+	// so co-runs of two or more cores reject it, as they reject Timeline
+	// and TamperPrefetchFill.
 	Metrics bool
 	// SampleInterval is the sampler period in cycles when Metrics is set
 	// (0 uses the sampler default of 4096).
@@ -136,8 +138,9 @@ type Options struct {
 	// legacy engine (Result.Attrib stays nil).
 	Attrib bool
 	// Faults, when non-nil and active, arms deterministic fault injection
-	// across the hierarchy (see internal/faults). Faults perturb timing
-	// only; Result.ArchDigest is identical to the fault-free run.
+	// across the hierarchy (see internal/faults); in a co-run one injector
+	// serves every core. Faults perturb timing only; Result.ArchDigest is
+	// identical to the fault-free run.
 	Faults *faults.Plan
 	// CheckInvariants turns on the periodic memory-system invariant
 	// checker (every InvariantEvery accesses, default 4096, plus once at
@@ -157,10 +160,11 @@ type Options struct {
 	TamperPrefetchFill func(m *mem.Memory, block uint64)
 	// LegacyEngine runs the pre-overhaul hot path: sim.LegacyMemSystem
 	// (container/heap arrival queue, map-backed in-flight table) and the
-	// map-based CPU slot tables. It is cycle-identical to the default
-	// engine by construction and exists only as the reference for the
-	// golden snapshots, the conformance timing-equivalence mode, and the
-	// hot-path speedup benchmark baseline.
+	// map-based CPU slot tables, run by runCores as a one-core system. It matches the one timing engine on every Result
+	// field but Attrib and exists only as that engine's referee: the
+	// golden snapshots' provenance, the conformance timing check, and the
+	// hot-path speedup benchmark baseline. Rejected for co-runs of two or
+	// more cores.
 	LegacyEngine bool
 	// Cancel, when non-nil, is polled from the CPU commit loop (every few
 	// thousand instructions); a non-nil return aborts the run with that
@@ -241,7 +245,8 @@ type Result struct {
 	// it is directly comparable with an interpreter run over the same
 	// placed-and-initialized memory — the conformance oracle check.
 	MemDigest uint64
-	// FaultCounts reports injected faults (zero without a fault plan).
+	// FaultCounts reports injected faults (zero without a fault plan). In
+	// a co-run it is the shared injector's total, the same on every core.
 	FaultCounts faults.Counts
 	// Attrib is the prefetch lifecycle attribution digest (nil unless
 	// Options.Attrib was set on the current engine).
@@ -258,26 +263,9 @@ func (r *Result) IPC() float64 { return r.CPU.IPC() }
 // the paper's Table 5 accuracy metric does.
 func (r *Result) Accuracy() float64 { return accuracy(r.L2, r.Mem) }
 
-// memSystem is the surface Run drives, satisfied by both engine
-// generations (*sim.MemSystem and *sim.LegacyMemSystem), so the
-// LegacyEngine option swaps the whole hot path without duplicating the
-// run wiring.
-type memSystem interface {
-	cpu.MemoryTiming
-	SetPrioritizer(on bool)
-	SetFaults(inj *faults.Injector)
-	SetWatchdog(cfg sim.WatchdogConfig) *sim.Watchdog
-	EnableInvariantChecks(every uint64)
-	SetFillTamper(fn func(block uint64))
-	AttachTelemetry(reg *metrics.Registry, smp *metrics.Sampler, tl *trace.Timeline)
-	AttachLedger(l *attrib.Ledger)
-	Drain()
-	Stats() sim.MemStats
-	FaultCounts() faults.Counts
-	Hierarchy() (l1, l2 *cache.Cache, dc *dram.Controller)
-}
-
-// Run simulates one benchmark under one scheme.
+// Run simulates one benchmark under one scheme: a one-core run of
+// runCores, the code behind RunCoRun, with no co-run context in the
+// Result.
 func Run(spec *workloads.Spec, scheme Scheme, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -285,18 +273,93 @@ func Run(spec *workloads.Spec, scheme Scheme, opt Options) (*Result, error) {
 	if len(opt.CoRun) > 0 {
 		return runCoRunCell(spec, scheme, opt)
 	}
-	built := spec.Build(opt.Factor)
-	m := mem.New()
-
-	var cgOpts compiler.CodegenOptions
-	if scheme == SoftwarePF {
-		cgOpts.SoftwarePrefetch = true
-	}
-	prog, layout, _, err := compiler.CompileWorkloadOpts(built.Prog, m, opt.Policy, cgOpts)
+	rs, err := runCores([]*workloads.Spec{spec}, scheme, opt, false)
 	if err != nil {
-		return nil, fmt.Errorf("core: compiling %s: %w", spec.Name, err)
+		return nil, err
 	}
-	built.Init(m, layout)
+	return rs[0], nil
+}
+
+// memSystem is the memory system runCores drives: the timing engine
+// (*sim.CoRunSystem), or the legacy referee (*sim.LegacyMemSystem) as a
+// one-core system.
+type memSystem interface {
+	SetPrioritizer(on bool)
+	SetFaults(inj *faults.Injector)
+	SetWatchdog(cfg sim.WatchdogConfig) *sim.Watchdog
+	EnableInvariantChecks(every uint64)
+	SetFillTamper(fn func(block uint64))
+	AttachTelemetry(reg *metrics.Registry, smp *metrics.Sampler, tl *trace.Timeline)
+	Drain()
+	FaultCounts() faults.Counts
+}
+
+// corePort is one core's endpoint into a memSystem: a *sim.CorePort, or
+// the legacy system itself.
+type corePort interface {
+	cpu.MemoryTiming
+	AttachLedger(l *attrib.Ledger)
+	Stats() sim.MemStats
+	Hierarchy() (l1, l2 *cache.Cache, dc *dram.Controller)
+}
+
+// runCores runs solo and co-run cells alike. It builds one
+// core per spec — private functional memory, compiled program, L1,
+// prefetch engine, L2 MSHR partition and prefetch budget — over one
+// memory system with a shared L2 and DRAM, runs the cores' threads to
+// completion, drains the memory system, and returns each core's Result.
+// Threads interleave deterministically: the unfinished core whose last
+// commit is furthest behind in cycles steps next (the lower core id on
+// ties), so a run is exactly reproducible at any host parallelism. With
+// coRun set, each Result carries its CoRunInfo.
+func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool) ([]*Result, error) {
+	n := len(specs)
+	benches := make([]string, n)
+	for i, spec := range specs {
+		benches[i] = spec.Name
+	}
+	// fail labels an error with the cell, and with the core in a co-run.
+	fail := func(i int, err error) error {
+		if !coRun {
+			return fmt.Errorf("core: running %s/%s: %w", specs[0].Name, scheme, err)
+		}
+		if i >= 0 {
+			err = fmt.Errorf("core %d (%s): %w", i, benches[i], err)
+		}
+		return fmt.Errorf("core: co-running %v/%s: %w", benches, scheme, err)
+	}
+
+	type coreState struct {
+		m      *mem.Memory
+		prog   *isa.Program
+		engine prefetch.Engine
+		port   corePort
+		ledger *attrib.Ledger
+		core   *cpu.Core
+		thread *cpu.Thread
+
+		maxInstrs uint64
+	}
+	states := make([]coreState, n)
+	engines := make([]prefetch.Engine, n)
+	for i, spec := range specs {
+		st := &states[i]
+		built := spec.Build(opt.Factor)
+		st.m = mem.New()
+		var cgOpts compiler.CodegenOptions
+		if scheme == SoftwarePF {
+			cgOpts.SoftwarePrefetch = true
+		}
+		prog, layout, _, err := compiler.CompileWorkloadOpts(built.Prog, st.m, opt.Policy, cgOpts)
+		if err != nil {
+			return nil, fmt.Errorf("core: compiling %s: %w", spec.Name, err)
+		}
+		built.Init(st.m, layout)
+		st.prog = prog
+		st.engine = engineFor(scheme, spec, st.m, opt)
+		st.maxInstrs = built.MaxInstrs
+		engines[i] = st.engine
+	}
 
 	memCfg := sim.DefaultMemConfig()
 	if opt.Mem != nil {
@@ -315,23 +378,29 @@ func Run(spec *workloads.Spec, scheme Scheme, opt Options) (*Result, error) {
 		memCfg.OpenPageFirst = true
 	}
 
-	engine := engineFor(scheme, spec, m, opt)
 	var ms memSystem
+	var cs *sim.CoRunSystem
 	if opt.LegacyEngine {
-		lms, lerr := sim.NewLegacyMemSystem(memCfg, engine)
-		ms, err = lms, lerr
+		lms, err := sim.NewLegacyMemSystem(memCfg, engines[0])
+		if err != nil {
+			return nil, fmt.Errorf("core: building memory system: %w", err)
+		}
+		ms, states[0].port = lms, lms
 	} else {
-		nms, nerr := sim.NewMemSystem(memCfg, engine)
-		ms, err = nms, nerr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: building memory system: %w", err)
+		var err error
+		if cs, err = sim.NewCoRunSystem(memCfg, engines); err != nil {
+			return nil, fmt.Errorf("core: building memory system: %w", err)
+		}
+		ms = cs
+		for i := range states {
+			states[i].port = cs.Port(i)
+		}
 	}
 	if opt.DisablePrioritizer {
 		ms.SetPrioritizer(false)
 	}
 	// Faults are armed before telemetry so the sinks observe the wrapped
-	// engine; the watchdog is always on (its defaults never fire on a
+	// engines; the watchdog is always on (its defaults never fire on a
 	// healthy run).
 	if opt.Faults.Active() {
 		ms.SetFaults(faults.NewInjector(opt.Faults))
@@ -344,10 +413,12 @@ func Run(spec *workloads.Spec, scheme Scheme, opt Options) (*Result, error) {
 	if opt.CheckInvariants {
 		ms.EnableInvariantChecks(opt.InvariantEvery)
 	}
+	// The single-core instruments (validateCoRun rejects them on more
+	// cores) observe core 0.
 	if opt.TamperPrefetchFill != nil {
+		m := states[0].m
 		ms.SetFillTamper(func(block uint64) { opt.TamperPrefetchFill(m, block) })
 	}
-
 	var reg *metrics.Registry
 	var smp *metrics.Sampler
 	if opt.Metrics {
@@ -357,28 +428,31 @@ func Run(spec *workloads.Spec, scheme Scheme, opt Options) (*Result, error) {
 	if reg != nil || opt.Timeline != nil {
 		ms.AttachTelemetry(reg, smp, opt.Timeline)
 	}
-	var ledger *attrib.Ledger
-	if opt.Attrib && !opt.LegacyEngine {
-		ledger = attrib.NewLedger()
-		ms.AttachLedger(ledger)
-	}
 
-	cpuCfg := cpu.Default()
-	if opt.CPU != nil {
-		cpuCfg = *opt.CPU
-	}
-	cpuCfg.LegacyScheduler = opt.LegacyEngine
-	cpuCfg.MaxInstrs = built.MaxInstrs
-	if opt.MaxInstrs != 0 {
-		cpuCfg.MaxInstrs = opt.MaxInstrs
-	}
-	cpuCfg.Cancel = opt.Cancel
-
-	c, err := cpu.New(cpuCfg, m, ms)
-	if err != nil {
-		return nil, fmt.Errorf("core: building core: %w", err)
+	for i := range states {
+		st := &states[i]
+		if opt.Attrib && !opt.LegacyEngine {
+			st.ledger = attrib.NewLedger()
+			st.port.AttachLedger(st.ledger)
+		}
+		cpuCfg := cpu.Default()
+		if opt.CPU != nil {
+			cpuCfg = *opt.CPU
+		}
+		cpuCfg.LegacyScheduler = opt.LegacyEngine
+		cpuCfg.MaxInstrs = st.maxInstrs
+		if opt.MaxInstrs != 0 {
+			cpuCfg.MaxInstrs = opt.MaxInstrs
+		}
+		cpuCfg.Cancel = opt.Cancel
+		c, err := cpu.New(cpuCfg, st.m, st.port)
+		if err != nil {
+			return nil, fmt.Errorf("core: building core %d: %w", i, err)
+		}
+		st.core = c
 	}
 	if reg != nil {
+		c := states[0].core
 		c.RegisterMetrics(reg)
 		// IPC joins the sampler's series; the probes fire from inside the
 		// memory system, so they see the core's live commit progress.
@@ -390,57 +464,117 @@ func Run(spec *workloads.Spec, scheme Scheme, opt Options) (*Result, error) {
 			return float64(i) / float64(cy)
 		})
 	}
+
 	// Watchdog and invariant aborts surface from deep inside the timing
 	// pump as typed panics; convert them back into errors here.
-	cres, err := func() (r cpu.Result, err error) {
+	failed := -1 // the core whose Start or Step failed
+	err := func() (err error) {
 		defer sim.RecoverAbort(&err)
-		r, err = c.Run(prog)
-		if err == nil {
-			ms.Drain()
+		for i := range states {
+			t, serr := states[i].core.Start(states[i].prog)
+			if serr != nil {
+				failed = i
+				return serr
+			}
+			states[i].thread = t
 		}
-		return r, err
+		for {
+			// best is the core furthest behind, next the runner-up. best
+			// keeps stepping while it stays behind next, so one core runs
+			// as a plain loop; cross-core submission-time jitter from the
+			// commit granularity is absorbed by the pump's monotonic clamp.
+			best, next := -1, -1
+			for i := range states {
+				th := states[i].thread
+				switch {
+				case th.Done():
+				case best < 0 || th.LastCommitCycle() < states[best].thread.LastCommitCycle():
+					best, next = i, best
+				case next < 0 || th.LastCommitCycle() < states[next].thread.LastCommitCycle():
+					next = i
+				}
+			}
+			if best < 0 {
+				break
+			}
+			th := states[best].thread
+			for {
+				if serr := th.Step(); serr != nil {
+					failed = best
+					return serr
+				}
+				if th.Done() || next >= 0 && !behind(th, best, states[next].thread, next) {
+					break
+				}
+			}
+		}
+		ms.Drain()
+		return nil
 	}()
 	if err != nil {
-		return nil, fmt.Errorf("core: running %s/%s: %w", spec.Name, scheme, err)
+		return nil, fail(failed, err)
 	}
 
 	var snap *metrics.Snapshot
 	if reg != nil {
 		snap = metrics.Snap(reg, smp)
 	}
-
-	var attribSummary *attrib.Summary
-	if ledger != nil {
-		ledger.Finalize()
-		if cerr := ledger.CheckConservation(); cerr != nil {
-			return nil, fmt.Errorf("core: running %s/%s: %w", spec.Name, scheme, cerr)
+	results := make([]*Result, n)
+	for i := range states {
+		st := &states[i]
+		var summary *attrib.Summary
+		if st.ledger != nil {
+			st.ledger.Finalize()
+			if cerr := st.ledger.CheckConservation(); cerr != nil {
+				return nil, fail(i, cerr)
+			}
+			summary = st.ledger.Summarize()
+			// The memory system is done with it (the run drained above), so
+			// hand the slab and tables to the next cell.
+			st.port.AttachLedger(nil)
+			st.ledger.Recycle()
 		}
-		attribSummary = ledger.Summarize()
-		// The memory system is done with it (the run drained above), so
-		// hand the slab and tables to the next cell.
-		ms.AttachLedger(nil)
-		ledger.Recycle()
+		cres := st.thread.Result()
+		md := st.m.Digest()
+		l1, l2, dc := st.port.Hierarchy()
+		r := &Result{
+			Bench:        benches[i],
+			Scheme:       scheme,
+			CPU:          cres,
+			L1:           l1.Stats(),
+			L2:           l2.Stats(),
+			Mem:          st.port.Stats(),
+			Dram:         dc.Stats(),
+			PF:           st.engine.Stats(),
+			TrafficBytes: dc.TrafficBytes(),
+			Hints:        st.prog.CountHints(),
+			Metrics:      snap,
+			ArchDigest:   archDigest(st.core, cres, md),
+			MemDigest:    md,
+			FaultCounts:  ms.FaultCounts(),
+			Attrib:       summary,
+		}
+		if coRun {
+			r.CoRun = &CoRunInfo{
+				NCores: n, Core: i,
+				Benches:         append([]string(nil), benches...),
+				AggTrafficBytes: dc.TrafficBytes(),
+			}
+			if cs != nil {
+				r.CoRun.PollutionCaused, r.CoRun.PollutionSuffered = cs.Port(i).Pollution()
+			}
+		}
+		results[i] = r
 	}
+	return results, nil
+}
 
-	md := m.Digest()
-	l1, l2, dc := ms.Hierarchy()
-	return &Result{
-		Bench:        spec.Name,
-		Scheme:       scheme,
-		CPU:          cres,
-		L1:           l1.Stats(),
-		L2:           l2.Stats(),
-		Mem:          ms.Stats(),
-		Dram:         dc.Stats(),
-		PF:           engine.Stats(),
-		TrafficBytes: dc.TrafficBytes(),
-		Hints:        prog.CountHints(),
-		Metrics:      snap,
-		ArchDigest:   archDigest(c, cres, md),
-		MemDigest:    md,
-		FaultCounts:  ms.FaultCounts(),
-		Attrib:       attribSummary,
-	}, nil
+// behind reports whether thread a (core ai) steps before thread b (core
+// bi) under the interleave order: fewer committed cycles, then the lower
+// core id.
+func behind(a *cpu.Thread, ai int, b *cpu.Thread, bi int) bool {
+	ac, bc := a.LastCommitCycle(), b.LastCommitCycle()
+	return ac < bc || ac == bc && ai < bi
 }
 
 // archDigest fingerprints the architectural outcome of a run: the final

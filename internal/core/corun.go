@@ -1,20 +1,13 @@
 // Co-run mode: N cores, each running its own workload, over one shared
-// L2 and DRAM (sim.CoRunSystem). Surfaced two ways: RunCoRun for the
-// multi-result driver (grpsim -corun), and Options.CoRun for the
-// campaign grid, where a cell's result is core 0's view of the co-run
-// with the cross-core context attached.
+// L2 and DRAM (sim.CoRunSystem), run by runCores as a solo Run is.
+// Surfaced two ways: RunCoRun for multi-result callers (grpsim -corun),
+// and Options.CoRun for the campaign grid, where a cell's result is core
+// 0's view of the co-run with the cross-core context attached.
 package core
 
 import (
 	"fmt"
 
-	"grp/internal/attrib"
-	"grp/internal/compiler"
-	"grp/internal/cpu"
-	"grp/internal/isa"
-	"grp/internal/mem"
-	"grp/internal/prefetch"
-	"grp/internal/sim"
 	"grp/internal/workloads"
 )
 
@@ -41,8 +34,8 @@ type CoRunInfo struct {
 // scheme everywhere, workloads per Benches order) plus the aggregates.
 type CoRunResult struct {
 	// Results holds core i's view at index i. Shared-resource fields
-	// (L2, Dram, TrafficBytes) are the shared totals in every entry;
-	// L1, Mem, CPU, PF and Attrib are genuinely per-core.
+	// (L2, Dram, TrafficBytes, FaultCounts) are the shared totals in every
+	// entry; L1, Mem, CPU, PF and Attrib are genuinely per-core.
 	Results []*Result
 	// AggTrafficBytes is the shared controller's total traffic.
 	AggTrafficBytes uint64
@@ -53,15 +46,16 @@ type CoRunResult struct {
 	Slowdown   []float64
 }
 
-// validateCoRun rejects option combinations the co-run engine does not
-// support. Fault injection, telemetry, timelines, the legacy engine and
-// the fill tamper hook are all single-core instruments; everything else
-// (ablations, attribution, invariant checking, watchdog, cancellation)
-// carries over.
-func validateCoRun(opt Options) error {
+// validateCoRun rejects option combinations a co-run of n cores does not
+// support. Telemetry, timelines, the legacy engine and the fill tamper
+// hook describe a single core, so they need n = 1; everything else
+// (ablations, fault injection, attribution, invariant checking, watchdog,
+// cancellation) carries over.
+func validateCoRun(opt Options, n int) error {
+	if n < 2 {
+		return nil
+	}
 	switch {
-	case opt.Faults.Active():
-		return fmt.Errorf("core: co-run does not support fault injection")
 	case opt.Metrics:
 		return fmt.Errorf("core: co-run does not support the telemetry layer")
 	case opt.Timeline != nil:
@@ -75,15 +69,16 @@ func validateCoRun(opt Options) error {
 }
 
 // RunCoRun simulates len(benches) cores, each running one benchmark
-// under the given scheme, over a shared L2 and DRAM. Each core keeps a
-// private functional memory, compiled program, L1, prefetch engine, L2
-// MSHR partition and prefetch budget; contention happens at the shared
-// L2 capacity and DRAM channels. Threads interleave deterministically —
-// each step commits one instruction on the core whose last commit is
-// furthest behind (ties to the lower core id) — so a co-run is exactly
-// reproducible at any host parallelism. With one benchmark the run is
-// cycle-identical to Run (the conformance equivalence battery holds the
-// two engines to that).
+// under the given scheme, over a shared L2 and DRAM (see runCores). Each
+// core keeps a private functional memory, compiled program, L1, prefetch
+// engine, L2 MSHR partition and prefetch budget; contention happens at
+// the shared L2 capacity and DRAM channels. With one benchmark the run is
+// Run's, plus the CoRun context.
+//
+// A fault plan arms one injector for the whole system: every core's
+// Result.FaultCounts reports its shared totals (as L2, Dram and
+// TrafficBytes report the shared fabric's), while each core's cancelled
+// prefetches stay in its own Mem.PrefetchesCancelled.
 func RunCoRun(benches []string, scheme Scheme, opt Options) (*CoRunResult, error) {
 	specs := make([]*workloads.Spec, len(benches))
 	for i, bench := range benches {
@@ -106,184 +101,14 @@ func RunCoRunSpecs(specs []*workloads.Spec, scheme Scheme, opt Options) (*CoRunR
 	if err := opt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := validateCoRun(opt); err != nil {
+	if err := validateCoRun(opt, len(specs)); err != nil {
 		return nil, err
 	}
-	n := len(specs)
-	benches := make([]string, n)
-	for i, spec := range specs {
-		benches[i] = spec.Name
-	}
-
-	type coreState struct {
-		spec   *workloads.Spec
-		m      *mem.Memory
-		prog   *isa.Program
-		engine prefetch.Engine
-		ledger *attrib.Ledger
-		core   *cpu.Core
-		thread *cpu.Thread
-
-		maxInstrs uint64
-	}
-	states := make([]*coreState, n)
-	engines := make([]prefetch.Engine, n)
-	for i, spec := range specs {
-		st := &coreState{spec: spec, m: mem.New()}
-		built := spec.Build(opt.Factor)
-		var cgOpts compiler.CodegenOptions
-		if scheme == SoftwarePF {
-			cgOpts.SoftwarePrefetch = true
-		}
-		prog, layout, _, err := compiler.CompileWorkloadOpts(built.Prog, st.m, opt.Policy, cgOpts)
-		if err != nil {
-			return nil, fmt.Errorf("core: compiling %s: %w", spec.Name, err)
-		}
-		built.Init(st.m, layout)
-		st.prog = prog
-		st.engine = engineFor(scheme, spec, st.m, opt)
-		st.maxInstrs = built.MaxInstrs
-		states[i], engines[i] = st, st.engine
-	}
-
-	memCfg := sim.DefaultMemConfig()
-	if opt.Mem != nil {
-		memCfg = *opt.Mem
-	}
-	switch scheme {
-	case PerfectL1:
-		memCfg.L1.Perfect = true
-	case PerfectL2:
-		memCfg.L2.Perfect = true
-	}
-	if opt.PrefetchInsertMRU {
-		memCfg.L2.PrefetchInsertMRU = true
-	}
-	if opt.OpenPageFirst {
-		memCfg.OpenPageFirst = true
-	}
-
-	cs, err := sim.NewCoRunSystem(memCfg, engines)
+	rs, err := runCores(specs, scheme, opt, true)
 	if err != nil {
-		return nil, fmt.Errorf("core: building co-run system: %w", err)
+		return nil, err
 	}
-	if opt.DisablePrioritizer {
-		cs.SetPrioritizer(false)
-	}
-	wdCfg := sim.WatchdogConfig{}
-	if opt.Watchdog != nil {
-		wdCfg = *opt.Watchdog
-	}
-	cs.SetWatchdog(wdCfg)
-	if opt.CheckInvariants {
-		cs.EnableInvariantChecks(opt.InvariantEvery)
-	}
-
-	for i, st := range states {
-		port := cs.Port(i)
-		if opt.Attrib {
-			st.ledger = attrib.NewLedger()
-			port.AttachLedger(st.ledger)
-		}
-		cpuCfg := cpu.Default()
-		if opt.CPU != nil {
-			cpuCfg = *opt.CPU
-		}
-		cpuCfg.MaxInstrs = st.maxInstrs
-		if opt.MaxInstrs != 0 {
-			cpuCfg.MaxInstrs = opt.MaxInstrs
-		}
-		cpuCfg.Cancel = opt.Cancel
-		c, err := cpu.New(cpuCfg, st.m, port)
-		if err != nil {
-			return nil, fmt.Errorf("core: building core %d: %w", i, err)
-		}
-		st.core = c
-	}
-
-	// Watchdog and invariant aborts surface as typed panics from inside
-	// the shared pump; convert them back into errors, as Run does.
-	err = func() (err error) {
-		defer sim.RecoverAbort(&err)
-		for i, st := range states {
-			t, serr := st.core.Start(st.prog)
-			if serr != nil {
-				return fmt.Errorf("starting core %d: %w", i, serr)
-			}
-			st.thread = t
-		}
-		// Deterministic interleave: always step the unfinished core whose
-		// last committed instruction is furthest behind in cycles (lower
-		// core id on ties). Cross-core submission-time jitter from the
-		// commit granularity is absorbed by the shared pump's monotonic
-		// clamp.
-		for {
-			best := -1
-			for i, st := range states {
-				if st.thread.Done() {
-					continue
-				}
-				if best < 0 || st.thread.LastCommitCycle() < states[best].thread.LastCommitCycle() {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			if serr := states[best].thread.Step(); serr != nil {
-				return fmt.Errorf("core %d (%s): %w", best, states[best].spec.Name, serr)
-			}
-		}
-		cs.Drain()
-		return nil
-	}()
-	if err != nil {
-		return nil, fmt.Errorf("core: co-running %v/%s: %w", benches, scheme, err)
-	}
-
-	out := &CoRunResult{
-		Results:         make([]*Result, n),
-		AggTrafficBytes: cs.Dram.TrafficBytes(),
-	}
-	for i, st := range states {
-		port := cs.Port(i)
-		var attribSummary *attrib.Summary
-		if st.ledger != nil {
-			st.ledger.Finalize()
-			if cerr := st.ledger.CheckConservation(); cerr != nil {
-				return nil, fmt.Errorf("core: co-running %v/%s: core %d: %w", benches, scheme, i, cerr)
-			}
-			attribSummary = st.ledger.Summarize()
-			port.AttachLedger(nil)
-			st.ledger.Recycle()
-		}
-		cres := st.thread.Result()
-		md := st.m.Digest()
-		caused, suffered := port.Pollution()
-		out.Results[i] = &Result{
-			Bench:        st.spec.Name,
-			Scheme:       scheme,
-			CPU:          cres,
-			L1:           port.L1.Stats(),
-			L2:           cs.L2.Stats(),
-			Mem:          port.Stats(),
-			Dram:         cs.Dram.Stats(),
-			PF:           st.engine.Stats(),
-			TrafficBytes: cs.Dram.TrafficBytes(),
-			Hints:        st.prog.CountHints(),
-			ArchDigest:   archDigest(st.core, cres, md),
-			MemDigest:    md,
-			Attrib:       attribSummary,
-			CoRun: &CoRunInfo{
-				NCores: n, Core: i,
-				Benches:           append([]string(nil), benches...),
-				AggTrafficBytes:   cs.Dram.TrafficBytes(),
-				PollutionCaused:   caused,
-				PollutionSuffered: suffered,
-			},
-		}
-	}
-	return out, nil
+	return &CoRunResult{Results: rs, AggTrafficBytes: rs[0].TrafficBytes}, nil
 }
 
 // ComputeSlowdowns runs each co-run workload solo under the same scheme

@@ -10,37 +10,33 @@ import (
 	"grp/internal/workloads"
 )
 
-// TestCoRunSingleCoreMatchesSolo: a 1-core co-run is the solo engine in
-// every observable field — digests, cycles, all statistics, and the
-// attribution summary. The fleet-scale version of this check (200
-// generated programs) lives in internal/conformance; this is the fast
-// in-package anchor over two real kernels.
+// TestCoRunSingleCoreMatchesSolo: solo cells and co-runs share
+// runCores, so what remains to check is the co-run context — a 1-core
+// RunCoRun carries it, Run does not, and nothing else differs.
 func TestCoRunSingleCoreMatchesSolo(t *testing.T) {
-	for _, bench := range []string{"mcf", "art"} {
-		for _, sc := range []Scheme{GRPVar, GHB} {
-			spec, err := workloads.ByName(bench)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := Options{Factor: workloads.Test, Attrib: true, CheckInvariants: true}
-			solo, err := Run(spec, sc, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cr, err := RunCoRun([]string{bench}, sc, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := *cr.Results[0]
-			if got.CoRun == nil || got.CoRun.NCores != 1 || got.CoRun.Core != 0 {
-				t.Fatalf("%s/%s: missing or wrong CoRun info: %+v", bench, sc, got.CoRun)
-			}
-			got.CoRun = nil
-			if !reflect.DeepEqual(*solo, got) {
-				t.Fatalf("%s/%s: 1-core co-run diverged from solo:\nsolo:  %+v\ncorun: %+v",
-					bench, sc, *solo, got)
-			}
-		}
+	spec, err := workloads.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Factor: workloads.Test, Attrib: true, CheckInvariants: true}
+	solo, err := Run(spec, GRPVar, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.CoRun != nil {
+		t.Fatalf("solo run carries co-run info: %+v", solo.CoRun)
+	}
+	cr, err := RunCoRun([]string{"mcf"}, GRPVar, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := *cr.Results[0]
+	if got.CoRun == nil || got.CoRun.NCores != 1 || got.CoRun.Core != 0 {
+		t.Fatalf("missing or wrong CoRun info: %+v", got.CoRun)
+	}
+	got.CoRun = nil
+	if !reflect.DeepEqual(*solo, got) {
+		t.Fatalf("1-core co-run differs from solo beyond its co-run info:\nsolo:  %+v\ncorun: %+v", *solo, got)
 	}
 }
 
@@ -166,15 +162,15 @@ func TestCoRunSlowdowns(t *testing.T) {
 	}
 }
 
-// TestCoRunRejectsUnsupportedOptions: the single-core-only instruments
-// fail fast with a named error instead of silently misbehaving.
+// TestCoRunRejectsUnsupportedOptions: the single-core instruments fail
+// fast with a named error instead of silently misbehaving, and fault
+// injection, which serves the whole system, is accepted.
 func TestCoRunRejectsUnsupportedOptions(t *testing.T) {
 	cases := []struct {
 		name string
 		opt  Options
 		want string
 	}{
-		{"faults", Options{Factor: workloads.Test, Faults: &faults.Plan{Seed: 1, DelayFill: 1, DelayFillCycles: 4}}, "fault injection"},
 		{"metrics", Options{Factor: workloads.Test, Metrics: true}, "telemetry"},
 		{"legacy", Options{Factor: workloads.Test, LegacyEngine: true}, "legacy engine"},
 	}
@@ -182,6 +178,47 @@ func TestCoRunRejectsUnsupportedOptions(t *testing.T) {
 		_, err := RunCoRun([]string{"mcf", "art"}, GRPVar, tc.opt)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error = %v, want mention of %q", tc.name, err, tc.want)
+		}
+	}
+	opt := Options{Factor: workloads.Test, Faults: &faults.Plan{Seed: 1, DelayFill: 1, DelayFillCycles: 4}}
+	if _, err := RunCoRun([]string{"mcf", "art"}, GRPVar, opt); err != nil {
+		t.Fatalf("faults: co-run rejected a fault plan: %v", err)
+	}
+}
+
+// TestCoRunFaultsKeepDigests: faults perturb a co-run's timing only. Each
+// core of a faulted 2-core co-run computes the architectural and memory
+// digests of the fault-free co-run, with the invariant audit on, and the
+// plan injects something.
+func TestCoRunFaultsKeepDigests(t *testing.T) {
+	for _, pair := range [][]string{{"mcf", "art"}, {"swim", "mcf"}} {
+		clean, err := RunCoRun(pair, GRPVar, Options{Factor: workloads.Test})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []string{"light,seed=7", "heavy,seed=11"} {
+			plan, err := faults.Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cr, err := RunCoRun(pair, GRPVar, Options{Factor: workloads.Test, Faults: &plan, CheckInvariants: true})
+			if err != nil {
+				t.Fatalf("%v under %s: %v", pair, spec, err)
+			}
+			if cr.Results[0].FaultCounts.Total() == 0 {
+				t.Errorf("%v under %s: no fault injected", pair, spec)
+			}
+			for i, r := range cr.Results {
+				c := clean.Results[i]
+				if r.ArchDigest != c.ArchDigest || r.MemDigest != c.MemDigest {
+					t.Errorf("%v under %s: core %d digests arch %016x mem %016x, fault-free arch %016x mem %016x",
+						pair, spec, i, r.ArchDigest, r.MemDigest, c.ArchDigest, c.MemDigest)
+				}
+				if r.FaultCounts != cr.Results[0].FaultCounts {
+					t.Errorf("%v under %s: core %d reports fault counts %v, core 0 %v; one injector serves the system",
+						pair, spec, i, r.FaultCounts, cr.Results[0].FaultCounts)
+				}
+			}
 		}
 	}
 }

@@ -20,8 +20,9 @@ import (
 	"grp/internal/metrics"
 )
 
-// MemoryTiming is the interface the core drives; *sim.MemSystem implements
-// it, as do the perfect-memory stubs in tests.
+// MemoryTiming is the interface the core drives; *sim.CorePort (and the
+// one-port *sim.MemSystem view) implements it, as do the perfect-memory
+// stubs in tests.
 type MemoryTiming interface {
 	// Load returns the completion cycle of a load issued at cycle now.
 	Load(pc, addr uint64, hint isa.Hint, coeff uint8, now uint64) uint64

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // arbiterTamper, when non-nil, makes every Arbiter silently refuse to
 // grant cores for which it returns true. It exists solely for the
@@ -24,7 +27,14 @@ func SetArbiterTamper(skip func(core int) bool) { arbiterTamper = skip }
 // Grant probes every core exactly once per call, in rotation order, so
 // the outcome is a function of (readiness vector, last grant) alone and
 // never of the order in which the caller happens to enumerate cores.
+// Every grant writes it, so it is padded to whole host cache lines, and
+// its counters share one line-rounded array.
 type Arbiter struct {
+	_ [(lineBytes - unsafe.Sizeof(arbiterState{})%lineBytes) % lineBytes]byte
+	arbiterState
+}
+
+type arbiterState struct {
 	n    int
 	last int // most recently granted core; scan starts at last+1
 
@@ -35,7 +45,6 @@ type Arbiter struct {
 	// bounds by n-1.
 	passedOver []uint64
 	grants     []uint64
-	total      uint64
 }
 
 // NewArbiter returns a round-robin arbiter over n cores; the first scan
@@ -44,16 +53,14 @@ func NewArbiter(n int) *Arbiter {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: arbiter over %d cores", n))
 	}
-	return &Arbiter{
+	counts := make([]uint64, 2*n, (2*n+7)&^7)
+	return &Arbiter{arbiterState: arbiterState{
 		n:          n,
 		last:       n - 1,
-		passedOver: make([]uint64, n),
-		grants:     make([]uint64, n),
-	}
+		passedOver: counts[:n:n],
+		grants:     counts[n:],
+	}}
 }
-
-// Cores returns the number of cores the arbiter serves.
-func (a *Arbiter) Cores() int { return a.n }
 
 // Grant picks the next core: the first one in rotation order (starting
 // just past the previous grant) for which ready reports true. It returns
@@ -84,7 +91,6 @@ func (a *Arbiter) Grant(ready func(core int) bool) (int, bool) {
 	}
 	a.passedOver[granted] = 0
 	a.grants[granted]++
-	a.total++
 	a.last = granted
 	return granted, true
 }
@@ -95,9 +101,6 @@ func (a *Arbiter) Grants() []uint64 {
 	copy(out, a.grants)
 	return out
 }
-
-// TotalGrants returns the total number of grants issued.
-func (a *Arbiter) TotalGrants() uint64 { return a.total }
 
 // CheckFairness audits the round-robin bound: a continuously schedulable
 // core can legally be passed over at most n-1 consecutive grants, so a

@@ -1,9 +1,12 @@
-// legacy.go freezes the pre-overhaul memory system verbatim. It exists
-// for three jobs and no others: regenerating golden provenance, the
-// conformance timing-equivalence mode (old-vs-new cycle equality), and
-// the BenchmarkCellHotPath speedup baseline. It is selected only through
-// core.Options.LegacyEngine and is scheduled for deletion once the
-// calendar-queue engine has survived a release of golden runs.
+// legacy.go freezes the pre-overhaul single-core memory system verbatim.
+// It exists for three jobs and no others, each of which checks the one
+// timing engine (CoRunSystem, driven as a one-core system) against this
+// frozen copy: regenerating golden provenance (GRP_GOLDEN_ENGINE=legacy),
+// the conformance timing check (grpconform -timing: every Result field
+// but attribution must agree), and the BenchmarkCellHotPath baseline. It
+// is selected only through core.Options.LegacyEngine and is scheduled for
+// deletion once paper-semantic invariants can referee the engine without
+// it.
 package sim
 
 import (
@@ -20,6 +23,28 @@ import (
 	"grp/internal/prefetch"
 	"grp/internal/trace"
 )
+
+// arrivalHeap is the legacy engine's arrival queue: a container/heap of
+// in-flight lines ordered by (doneAt, seq).
+type arrivalHeap []*inflightLine
+
+func (h arrivalHeap) Len() int { return len(h) }
+func (h arrivalHeap) Less(i, j int) bool {
+	if h[i].doneAt != h[j].doneAt {
+		return h[i].doneAt < h[j].doneAt
+	}
+	return h[i].seq < h[j].seq
+}
+func (h arrivalHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *arrivalHeap) Push(x interface{}) { *h = append(*h, x.(*inflightLine)) }
+func (h *arrivalHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return x
+}
 
 // LegacyMemSystem is the full memory hierarchy with prefetching.
 type LegacyMemSystem struct {

@@ -58,7 +58,7 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 const lineBytes = 64
 
 // Watchdog tracks forward progress. The zero value is unusable; obtain
-// one via MemSystem.SetWatchdog.
+// one via CoRunSystem.SetWatchdog.
 //
 // Retirements reach it two ways. A core that only knows
 // cpu.ProgressMonitor notes each one (NoteRetire); a core that knows

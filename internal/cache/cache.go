@@ -32,10 +32,18 @@ type Config struct {
 	PrefetchInsertMRU bool
 }
 
+// maxSizeBytes bounds a cache's capacity at 64 times the paper's 1 MB L2.
+// New allocates a line record per block up front, so an unbounded size
+// from a sweep axis could exhaust the host before the cell starts.
+const maxSizeBytes = 64 << 20
+
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Assoc <= 0 || c.BlockBytes <= 0 {
 		return fmt.Errorf("cache %s: nonpositive geometry", c.Name)
+	}
+	if c.SizeBytes > maxSizeBytes {
+		return fmt.Errorf("cache %s: size %d above %d bytes", c.Name, c.SizeBytes, maxSizeBytes)
 	}
 	if c.BlockBytes&(c.BlockBytes-1) != 0 {
 		return fmt.Errorf("cache %s: block size %d not a power of two", c.Name, c.BlockBytes)

@@ -18,14 +18,18 @@ func TestValidateConfig(t *testing.T) {
 		{Name: "nonpow2block", SizeBytes: 4096, Assoc: 4, BlockBytes: 48},
 		{Name: "nonpow2sets", SizeBytes: 3 * 64 * 4, Assoc: 4, BlockBytes: 64},
 		{Name: "negmshr", SizeBytes: 4096, Assoc: 4, BlockBytes: 64, MSHRs: -1},
+		{Name: "huge", SizeBytes: 64 << 30, Assoc: 8, BlockBytes: 64},
+		{Name: "double", SizeBytes: maxSizeBytes * 2, Assoc: 8, BlockBytes: 64},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.Name)
 		}
 	}
-	if err := testConfig().Validate(); err != nil {
-		t.Errorf("good config rejected: %v", err)
+	for _, c := range []Config{testConfig(), {Name: "max", SizeBytes: maxSizeBytes, Assoc: 8, BlockBytes: 64}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("good config %s rejected: %v", c.Name, err)
+		}
 	}
 }
 

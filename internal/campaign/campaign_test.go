@@ -342,6 +342,37 @@ func TestSpecSRPRegionAxis(t *testing.T) {
 	}
 }
 
+// TestSpecSizeAxesBounded: rob, l1.size and l2.size values the core or a
+// cache cannot be built with are rejected when the spec is parsed, before
+// a cell asks for gigabytes of host memory; grpsweep and grpserve parse
+// through ParseSpec, and grpconform's -overlay through ApplyAxis. A
+// geometry that only a later axis makes valid still parses.
+func TestSpecSizeAxesBounded(t *testing.T) {
+	g, err := ParseSpec("schemes=base × kernels=mcf × rob=32,4096 × l2.size=512K,64M", testOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Cells) != 4 || g.Cells[3].Opt.CPU.ROBSize != 4096 || g.Cells[3].Opt.Mem.L2.SizeBytes != 64<<20 {
+		t.Fatalf("bounded values resolved to %d cells, last %+v", len(g.Cells), g.Cells[len(g.Cells)-1].Overlay)
+	}
+	if _, err := ParseSpec("schemes=base × kernels=mcf × l2.size=768K × l2.assoc=3", testOpt()); err != nil {
+		t.Errorf("768K over 3 ways: %v", err)
+	}
+	for _, bad := range []string{
+		"rob=2000000000", "rob=4097", "rob=0",
+		"l1.size=64G", "l2.size=64G", "l2.size=128M",
+		"l2.size=768K", // 1536 sets at the default 8 ways
+	} {
+		if _, err := ParseSpec("schemes=base × kernels=mcf × "+bad, testOpt()); err == nil {
+			t.Errorf("%s parsed without error", bad)
+		}
+	}
+	var o core.Options
+	if err := ApplyAxis(&o, "rob", "2000000000"); err == nil {
+		t.Error("ApplyAxis accepted rob=2000000000")
+	}
+}
+
 // TestSpecCoRunAxis: the corun axis lands in Options.CoRun ('+'-joined
 // for 3+ cores, "none" = solo) and corun=all expands to the full
 // co-runner column, so kernels=all × corun=all is the co-run matrix.

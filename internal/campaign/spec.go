@@ -184,7 +184,10 @@ func (g *Grid) expand(base core.Options) error {
 }
 
 // applyOverlay clones the base options (including pointed-to configs, so
-// cells never alias each other's mutable state) and applies the settings.
+// cells never alias each other's mutable state), applies the settings and
+// rejects a combination Run would refuse, such as a cache above its size
+// bound or a geometry whose set count is not a power of two, so a bad
+// grid fails when it is parsed rather than cell by cell.
 func applyOverlay(base core.Options, overlay []Setting) (core.Options, error) {
 	opt := base
 	if base.Mem != nil {
@@ -203,6 +206,10 @@ func applyOverlay(base core.Options, overlay []Setting) (core.Options, error) {
 		if err := set(&opt, s.Value); err != nil {
 			return opt, fmt.Errorf("campaign: axis %s=%s: %w", s.Key, s.Value, err)
 		}
+	}
+	if err := opt.Validate(); err != nil {
+		c := GridCell{Overlay: overlay}
+		return opt, fmt.Errorf("campaign: overlay %s: %w", c.OverlayString(), err)
 	}
 	return opt, nil
 }
@@ -304,8 +311,10 @@ var axisSetters = map[string]func(*core.Options, string) error{
 		if err != nil {
 			return err
 		}
-		ensureCPU(o).ROBSize = n
-		return nil
+		c := ensureCPU(o)
+		c.ROBSize = n
+		// Reject a size the core cannot build now, as Run would.
+		return c.Validate()
 	},
 	"depth": func(o *core.Options, v string) error {
 		n, err := strconv.Atoi(v)

@@ -106,11 +106,28 @@ type Config struct {
 	Cancel func() error
 }
 
+// Limits on the sizes Validate accepts. The slot tables count
+// reservations in a uint8, so a width above maxWidth would wrap; ROB
+// entries cost host memory at Start (a commit cycle and a store-buffer
+// entry each), so maxROBSize, 64 times the paper's window, keeps a sweep
+// value from exhausting the host.
+const (
+	maxWidth   = 255
+	maxROBSize = 4096
+)
+
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
 	if c.FetchWidth <= 0 || c.IssueWidth <= 0 || c.CommitWidth <= 0 ||
 		c.ROBSize <= 0 || c.MemPorts <= 0 {
 		return fmt.Errorf("cpu: nonpositive width in config")
+	}
+	if c.FetchWidth > maxWidth || c.IssueWidth > maxWidth ||
+		c.CommitWidth > maxWidth || c.MemPorts > maxWidth {
+		return fmt.Errorf("cpu: width above %d in config", maxWidth)
+	}
+	if c.ROBSize > maxROBSize {
+		return fmt.Errorf("cpu: ROB size %d above %d", c.ROBSize, maxROBSize)
 	}
 	if n := c.PredictorEntries; n != 0 && n&(n-1) != 0 {
 		return fmt.Errorf("cpu: predictor entries %d not a power of two", n)
@@ -163,10 +180,69 @@ func opLatency(op isa.Op) uint64 {
 	}
 }
 
+// uopKind is the scheduling class of a decoded instruction.
+type uopKind uint8
+
+const (
+	kindALU   uopKind = iota // an issue slot; done opLatency cycles later
+	kindLoad                 // an issue slot and a memory port; may forward
+	kindStore                // an issue slot and a memory port; buffered
+	kindPref                 // a software prefetch: a load that binds nothing
+)
+
+// uop is one instruction as Step needs it: isa.Instr's predicates and
+// opLatency evaluated once per program, at Start, instead of once per
+// executed instruction. A thread owns its decoded program, so concurrent
+// cells never share one.
+type uop struct {
+	imm    int64
+	target int
+	op     isa.Op
+	kind   uopKind
+	src1   uint8 // Instr.Uses
+	src2   uint8
+	dst    uint8 // Instr.Defines
+	size   uint8 // Instr.MemSize
+	lat    uint8 // opLatency
+	hint   isa.Hint
+	coeff  uint8
+	branch bool // Instr.IsBranch
+	cond   bool // Instr.IsConditional
+}
+
+// decode builds the uop for in.
+func decode(in isa.Instr) uop {
+	u := uop{
+		imm:    in.Imm,
+		target: in.Target,
+		op:     in.Op,
+		dst:    in.Defines(),
+		size:   uint8(in.MemSize()),
+		lat:    uint8(opLatency(in.Op)),
+		hint:   in.Hint,
+		coeff:  in.Coeff,
+		branch: in.IsBranch(),
+		cond:   in.IsConditional(),
+	}
+	u.src1, u.src2 = in.Uses()
+	switch {
+	case in.Op == isa.OpPref:
+		u.kind = kindPref
+	case in.IsLoad():
+		u.kind = kindLoad
+	case in.IsStore():
+		u.kind = kindStore
+	}
+	return u
+}
+
 // slotWindow is the ring's cycle span. It is a perf knob, not a
 // correctness bound: probes further than this ahead of the fetch frontier
-// fall back to the spill map.
-const slotWindow = 1 << 15
+// fall back to the spill map. Over a pass of the small grid every probe
+// landed under 2^11 cycles above the frontier, and co-run cells under
+// 2^12, so 2^12 keeps the spill map empty while the two tables of a
+// thread cost 72 KB (DESIGN.md §10 has the histogram).
+const slotWindow = 1 << 12
 
 // slotTable tracks per-cycle resource usage (issue slots, memory ports).
 //
@@ -182,7 +258,7 @@ const slotWindow = 1 << 15
 // any spill count for the new cycle into the ring, which keeps that
 // invariant across frontier advances. Far-future probes (≥ slotWindow
 // ahead) and live ring collisions go to the spill map, which stays empty
-// in practice.
+// in practice, so a probe skips the map lookup while it is empty.
 //
 // The pre-overhaul sparse map lives on behind legacy for the reference
 // engine; both representations reserve identical cycles.
@@ -212,14 +288,13 @@ func newSlotTable(limit int, legacy bool) *slotTable {
 
 // countAt returns the reservation count at cycle c (c > s.base).
 func (s *slotTable) countAt(c uint64) uint8 {
-	if c-s.base < slotWindow {
-		idx := c & (slotWindow - 1)
-		switch {
-		case s.epoch[idx] == c:
-			return s.ring[idx]
-		case s.epoch[idx] <= s.base:
-			return s.spill[c] // dead slot; any count for c is spilled
-		}
+	if idx := c & (slotWindow - 1); c-s.base < slotWindow && s.epoch[idx] == c {
+		return s.ring[idx]
+	}
+	// A dead slot, a live collision or a cycle beyond the window: any
+	// count for c is spilled.
+	if len(s.spill) == 0 {
+		return 0
 	}
 	return s.spill[c]
 }
@@ -236,9 +311,11 @@ func (s *slotTable) claim(c uint64) {
 			// Reclaim the dead slot, absorbing any spilled count so the
 			// cycle's tally lives in exactly one place.
 			s.epoch[idx] = c
-			v := s.spill[c]
-			if v != 0 {
-				delete(s.spill, c)
+			var v uint8
+			if len(s.spill) != 0 {
+				if v = s.spill[c]; v != 0 {
+					delete(s.spill, c)
+				}
 			}
 			s.ring[idx] = v + 1
 			return
@@ -389,9 +466,10 @@ type Thread struct {
 }
 
 type threadState struct {
-	c   *Core
-	p   *isa.Program
-	res Result
+	c    *Core
+	p    *isa.Program
+	code []uop // p.Instrs decoded, indexed by pc
+	res  Result
 
 	regReady  [isa.NumRegs]uint64
 	robCommit []uint64 // commit cycle by ROB slot
@@ -399,13 +477,14 @@ type threadState struct {
 	issueSlots *slotTable
 	memSlots   *slotTable
 
-	fetchCycle       uint64
-	fetchedThisCycle int
+	fetchCycle uint64
 	// lastCommitCycle is the thread's retire clock. A RetireWatcher
 	// monitor reads it in place instead of being told of each commit.
 	lastCommitCycle   uint64
-	commitsThisCycle  int
 	storeAddrReadyMax uint64 // all older stores' addresses known by here
+	// storeCommitMax is the latest cycle at which any store leaves the
+	// buffer; a load issued at or after it has nothing to forward from.
+	storeCommitMax uint64
 
 	// checkGap is how far past the previous commit a commit must land
 	// before the monitor hears of it: 0 calls it at every commit, the
@@ -416,13 +495,19 @@ type threadState struct {
 	// for load forwarding; storeNext is the slot the next store takes and
 	// storeCount how many slots hold a store.
 	recentStores []pendStore
-	storeNext    int
-	storeCount   int
+
+	// The counters below are bounded by the widths and the ROB size that
+	// Validate admits, so they fit in 32 bits.
+	fetchedThisCycle int32
+	commitsThisCycle int32
+	storeNext        int32
+	storeCount       int32
+	robSlot          int32 // the ROB slot the next instruction takes
+	done             bool
 
 	pc     int
 	budget uint64
 	i      uint64
-	done   bool
 }
 
 // Done reports whether the thread has halted, exhausted its budget, or
@@ -444,9 +529,14 @@ func (c *Core) Start(p *isa.Program) (*Thread, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	code := make([]uop, len(p.Instrs))
+	for i, in := range p.Instrs {
+		code[i] = decode(in)
+	}
 	t := &Thread{threadState: threadState{
 		c:            c,
 		p:            p,
+		code:         code,
 		robCommit:    make([]uint64, c.cfg.ROBSize),
 		issueSlots:   newSlotTable(c.cfg.IssueWidth, c.cfg.LegacyScheduler),
 		memSlots:     newSlotTable(c.cfg.MemPorts, c.cfg.LegacyScheduler),
@@ -495,7 +585,6 @@ func (t *Thread) Step() error {
 		return nil
 	}
 	c := t.c
-	p := t.p
 	i := t.i
 	{
 		// A masked countdown keeps the cancellation poll off the per-
@@ -504,24 +593,24 @@ func (t *Thread) Step() error {
 		if cancel := c.cfg.Cancel; cancel != nil && i&4095 == 4095 {
 			if err := cancel(); err != nil {
 				t.done = true
-				return fmt.Errorf("cpu: %s: run cancelled: %w", p.Name, err)
+				return fmt.Errorf("cpu: %s: run cancelled: %w", t.p.Name, err)
 			}
 		}
 		pc := t.pc
-		if pc < 0 || pc >= len(p.Instrs) {
+		if uint(pc) >= uint(len(t.code)) {
 			t.done = true
-			return fmt.Errorf("cpu: %s: pc %d out of range", p.Name, pc)
+			return fmt.Errorf("cpu: %s: pc %d out of range", t.p.Name, pc)
 		}
-		in := p.Instrs[pc]
+		in := &t.code[pc]
 
 		// --- Fetch slot ---
-		if t.fetchedThisCycle >= c.cfg.FetchWidth {
+		if int(t.fetchedThisCycle) >= c.cfg.FetchWidth {
 			t.fetchCycle++
 			t.fetchedThisCycle = 0
 		}
 		fetchAt := t.fetchCycle
 		// ROB space: the slot we are about to reuse must have committed.
-		slot := int(i) % c.cfg.ROBSize
+		slot := t.robSlot
 		if t.robCommit[slot] > fetchAt {
 			fetchAt = t.robCommit[slot]
 			t.fetchCycle = fetchAt
@@ -530,15 +619,15 @@ func (t *Thread) Step() error {
 		t.fetchedThisCycle++
 
 		// --- Functional execute (oracle path) ---
-		a, b := in.Uses()
+		a, b := in.src1, in.src2
 		v1, v2 := c.regs[a], c.regs[b]
 		var value uint64
 		var addr uint64
 		var taken bool
-		switch in.Op {
+		switch in.op {
 		case isa.OpNop, isa.OpHalt:
 		case isa.OpLi:
-			value = uint64(in.Imm)
+			value = uint64(in.imm)
 		case isa.OpMov:
 			value = v1
 		case isa.OpAdd:
@@ -570,29 +659,29 @@ func (t *Thread) Step() error {
 				value = 1
 			}
 		case isa.OpAddi:
-			value = v1 + uint64(in.Imm)
+			value = v1 + uint64(in.imm)
 		case isa.OpMuli:
-			value = v1 * uint64(in.Imm)
+			value = v1 * uint64(in.imm)
 		case isa.OpAndi:
-			value = v1 & uint64(in.Imm)
+			value = v1 & uint64(in.imm)
 		case isa.OpOri:
-			value = v1 | uint64(in.Imm)
+			value = v1 | uint64(in.imm)
 		case isa.OpXori:
-			value = v1 ^ uint64(in.Imm)
+			value = v1 ^ uint64(in.imm)
 		case isa.OpShli:
-			value = v1 << (uint64(in.Imm) & 63)
+			value = v1 << (uint64(in.imm) & 63)
 		case isa.OpShri:
-			value = v1 >> (uint64(in.Imm) & 63)
+			value = v1 >> (uint64(in.imm) & 63)
 		case isa.OpSlti:
-			if int64(v1) < in.Imm {
+			if int64(v1) < in.imm {
 				value = 1
 			}
 		case isa.OpLd, isa.OpLd4, isa.OpLd1:
-			addr = v1 + uint64(in.Imm)
-			value = c.mem.Read(addr, in.MemSize())
+			addr = v1 + uint64(in.imm)
+			value = c.mem.Read(addr, int(in.size))
 		case isa.OpSt, isa.OpSt4, isa.OpSt1:
-			addr = v1 + uint64(in.Imm)
-			c.mem.Write(addr, in.MemSize(), v2)
+			addr = v1 + uint64(in.imm)
+			c.mem.Write(addr, int(in.size), v2)
 		case isa.OpBeq:
 			taken = v1 == v2
 		case isa.OpBne:
@@ -606,9 +695,9 @@ func (t *Thread) Step() error {
 		case isa.OpSetBound:
 			c.msys.SetBound(v1)
 		case isa.OpPrefIndirect:
-			c.msys.Indirect(v1, v2, uint(in.Imm)&63)
+			c.msys.Indirect(v1, v2, uint(in.imm)&63)
 		case isa.OpPref:
-			addr = v1 + uint64(in.Imm)
+			addr = v1 + uint64(in.imm)
 		}
 
 		// --- Schedule: ready, issue, complete ---
@@ -622,15 +711,15 @@ func (t *Thread) Step() error {
 		var doneAt uint64
 		ipc := uint64(pc) // instruction address for the stride table
 
-		switch {
-		case in.Op == isa.OpPref:
+		switch in.kind {
+		case kindPref:
 			// A software prefetch consumes an issue slot and a memory
 			// port like a load — its runtime overhead is the point of the
 			// comparison — but binds no register and never stalls.
 			issueAt := t.issueSlots.reserveWith(readyAt, t.fetchCycle, t.memSlots)
 			c.msys.SoftwarePrefetch(addr, issueAt)
 			doneAt = issueAt + 1
-		case in.IsLoad():
+		case kindLoad:
 			t.res.Loads++
 			// Conservative disambiguation: wait for all older stores'
 			// addresses.
@@ -639,32 +728,35 @@ func (t *Thread) Step() error {
 			}
 			issueAt := t.issueSlots.reserveWith(readyAt, t.fetchCycle, t.memSlots)
 			// Forward from an in-flight older store to the same address,
-			// scanning newest first.
+			// scanning newest first. When every buffered store has left
+			// the buffer by issueAt the scan would find nothing.
 			forwarded := false
-			j := t.storeNext
-			for k := 0; k < t.storeCount; k++ {
-				if j == 0 {
-					j = len(t.recentStores)
-				}
-				j--
-				st := &t.recentStores[j]
-				if st.commit <= issueAt {
-					continue
-				}
-				if overlaps(st.addr, st.size, addr, in.MemSize()) {
-					d := st.ready
-					if issueAt > d {
-						d = issueAt
+			if t.storeCommitMax > issueAt {
+				j := t.storeNext
+				for k := int32(0); k < t.storeCount; k++ {
+					if j == 0 {
+						j = int32(len(t.recentStores))
 					}
-					doneAt = d + 1
-					forwarded = true
-					break
+					j--
+					st := &t.recentStores[j]
+					if st.commit <= issueAt {
+						continue
+					}
+					if overlaps(st.addr, st.size, addr, int(in.size)) {
+						d := st.ready
+						if issueAt > d {
+							d = issueAt
+						}
+						doneAt = d + 1
+						forwarded = true
+						break
+					}
 				}
 			}
 			if !forwarded {
-				doneAt = c.msys.Load(ipc, addr, in.Hint, in.Coeff, issueAt)
+				doneAt = c.msys.Load(ipc, addr, in.hint, in.coeff, issueAt)
 			}
-		case in.IsStore():
+		case kindStore:
 			t.res.Stores++
 			issueAt := t.issueSlots.reserveWith(readyAt, t.fetchCycle, t.memSlots)
 			// The store enters the store buffer; the cache access happens
@@ -674,30 +766,32 @@ func (t *Thread) Step() error {
 			if readyAt > t.storeAddrReadyMax {
 				t.storeAddrReadyMax = readyAt
 			}
-			t.recentStores[t.storeNext] = pendStore{
-				addr: addr, size: in.MemSize(), ready: doneAt, commit: doneAt + 2,
+			st := pendStore{addr: addr, size: int(in.size), ready: doneAt, commit: doneAt + 2}
+			t.recentStores[t.storeNext] = st
+			if st.commit > t.storeCommitMax {
+				t.storeCommitMax = st.commit
 			}
-			if t.storeNext++; t.storeNext == len(t.recentStores) {
+			if t.storeNext++; int(t.storeNext) == len(t.recentStores) {
 				t.storeNext = 0
 			}
-			if t.storeCount < len(t.recentStores) {
+			if int(t.storeCount) < len(t.recentStores) {
 				t.storeCount++
 			}
 		default:
 			issueAt := t.issueSlots.reserveWith(readyAt, t.fetchCycle, nil)
-			doneAt = issueAt + opLatency(in.Op)
+			doneAt = issueAt + uint64(in.lat)
 		}
 
 		// --- Writeback ---
-		if d := in.Defines(); d != 0 {
+		if d := in.dst; d != 0 {
 			t.regReady[d] = doneAt
 			c.regs[d] = value
 		}
 
 		// --- Branch resolution ---
-		if in.IsBranch() {
+		if in.branch {
 			t.res.Branches++
-			if in.IsConditional() {
+			if in.cond {
 				idx := pc & (len(c.predict) - 1)
 				predTaken := c.predict[idx] >= 2
 				if predTaken != taken {
@@ -721,7 +815,7 @@ func (t *Thread) Step() error {
 		if cAt < t.lastCommitCycle {
 			cAt = t.lastCommitCycle
 		}
-		if cAt == t.lastCommitCycle && t.commitsThisCycle >= c.cfg.CommitWidth {
+		if cAt == t.lastCommitCycle && int(t.commitsThisCycle) >= c.cfg.CommitWidth {
 			cAt++
 		}
 		if cAt-t.lastCommitCycle >= t.checkGap && c.monitor != nil {
@@ -737,6 +831,10 @@ func (t *Thread) Step() error {
 		}
 		t.commitsThisCycle++
 		t.robCommit[slot] = cAt
+		if slot++; int(slot) == len(t.robCommit) {
+			slot = 0
+		}
+		t.robSlot = slot
 		t.res.Instrs++
 		t.res.Cycles = cAt
 
@@ -746,13 +844,13 @@ func (t *Thread) Step() error {
 		}
 
 		// --- Next PC ---
-		if in.Op == isa.OpHalt {
+		if in.op == isa.OpHalt {
 			t.res.Halted = true
 			t.done = true
 			return nil
 		}
-		if in.IsBranch() && taken {
-			t.pc = in.Target
+		if in.branch && taken {
+			t.pc = in.target
 		} else {
 			t.pc = pc + 1
 		}

@@ -347,6 +347,36 @@ func TestBadProgramRejected(t *testing.T) {
 	}
 }
 
+// TestValidateBounds: widths above what a slot table counts and ROB
+// sizes above maxROBSize are rejected before Start allocates anything;
+// the limits themselves are accepted.
+func TestValidateBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"rob at limit", func(c *Config) { c.ROBSize = maxROBSize }, true},
+		{"rob over limit", func(c *Config) { c.ROBSize = maxROBSize + 1 }, false},
+		{"rob two billion", func(c *Config) { c.ROBSize = 2000000000 }, false},
+		{"widths at limit", func(c *Config) {
+			c.FetchWidth, c.IssueWidth, c.CommitWidth, c.MemPorts = maxWidth, maxWidth, maxWidth, maxWidth
+		}, true},
+		{"issue 256", func(c *Config) { c.IssueWidth = 256 }, false},
+		{"ports 256", func(c *Config) { c.MemPorts = 256 }, false},
+		{"fetch 1000", func(c *Config) { c.FetchWidth = 1000 }, false},
+		{"commit 256", func(c *Config) { c.CommitWidth = 256 }, false},
+		{"ports 0", func(c *Config) { c.MemPorts = 0 }, false},
+	} {
+		cfg := Default()
+		tc.edit(&cfg)
+		_, err := New(cfg, mem.New(), &flatMem{lat: 1})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: New error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // mustNew constructs a Core and fails the test on a config error.
 func mustNew(t *testing.T, cfg Config, m *mem.Memory, msys MemoryTiming) *Core {
 	t.Helper()

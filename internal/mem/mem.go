@@ -2,8 +2,10 @@
 // cache hierarchy, together with the heap range bookkeeping that the GRP
 // pointer scanner's base-and-bounds test relies on (paper Section 3.2).
 //
-// Memory is sparse: pages are allocated lazily, so multi-gigabyte address
-// spaces cost only what the workload touches. All values are little-endian.
+// Memory is sparse: a page exists once something is written to it, so
+// multi-gigabyte address spaces cost only what the workload writes, and a
+// read of a page that does not exist returns zero without creating it.
+// All values are little-endian.
 package mem
 
 import (
@@ -26,16 +28,29 @@ const (
 	HeapBase uint64 = 0x1000_0000
 )
 
+// Page directories. Pages of the globals segment and of the heap are found
+// by indexing a slice with the page number; only pages outside both (below
+// GlobalBase, or heapDirPages or more above HeapBase) live in a map. A
+// directory grows to the highest page written to it.
+const (
+	globalFirstPN = GlobalBase / PageSize
+	heapFirstPN   = HeapBase / PageSize
+	// globalDirPages covers the globals segment up to the heap.
+	globalDirPages = heapFirstPN - globalFirstPN
+	// heapDirPages covers 4 GB of heap; a full directory is 8 MB.
+	heapDirPages = 1 << 20
+)
+
+// page is one PageSize block of memory.
+type page = [PageSize]byte
+
 // Memory is a sparse, page-granular byte-addressable store with a bump
 // allocator and heap range tracking.
 type Memory struct {
-	pages map[uint64]*[PageSize]byte
-
-	// Last-page cache: accesses are overwhelmingly sequential or looped,
-	// so remembering the most recent page short-circuits the map lookup
-	// on the hot Read/Write path. lastPage == nil means cold.
-	lastPN   uint64
-	lastPage *[PageSize]byte
+	globals []*page // page globalFirstPN+i, nil until written
+	heap    []*page // page heapFirstPN+i, nil until written
+	other   map[uint64]*page
+	npages  int // pages that exist, in all three
 
 	heapStart uint64
 	heapBrk   uint64 // next free heap byte (bump pointer)
@@ -43,11 +58,7 @@ type Memory struct {
 
 // New returns an empty memory whose heap begins at HeapBase.
 func New() *Memory {
-	return &Memory{
-		pages:     make(map[uint64]*[PageSize]byte),
-		heapStart: HeapBase,
-		heapBrk:   HeapBase,
-	}
+	return &Memory{heapStart: HeapBase, heapBrk: HeapBase}
 }
 
 // Alloc carves size bytes from the heap, aligned to align (a power of two,
@@ -80,35 +91,74 @@ func (m *Memory) InHeap(addr uint64) bool { return addr >= m.heapStart && addr <
 // HeapBytes returns the number of bytes allocated so far.
 func (m *Memory) HeapBytes() uint64 { return m.heapBrk - m.heapStart }
 
-func (m *Memory) page(addr uint64) *[PageSize]byte {
+// lookup returns the page holding addr, or nil when it does not exist.
+func (m *Memory) lookup(addr uint64) *page {
 	pn := addr / PageSize
-	if pn == m.lastPN && m.lastPage != nil {
-		return m.lastPage
+	if i := pn - heapFirstPN; i < uint64(len(m.heap)) {
+		return m.heap[i]
 	}
-	p := m.pages[pn]
-	if p == nil {
-		p = new([PageSize]byte)
-		m.pages[pn] = p
+	if i := pn - globalFirstPN; i < uint64(len(m.globals)) {
+		return m.globals[i]
 	}
-	m.lastPN, m.lastPage = pn, p
+	if len(m.other) == 0 {
+		return nil
+	}
+	return m.other[pn]
+}
+
+// writePage returns the page holding addr, creating it if it does not exist.
+func (m *Memory) writePage(addr uint64) *page {
+	if p := m.lookup(addr); p != nil {
+		return p
+	}
+	pn := addr / PageSize
+	p := new(page)
+	m.npages++
+	switch {
+	case pn-heapFirstPN < heapDirPages:
+		m.heap = place(m.heap, pn-heapFirstPN, p)
+	case pn-globalFirstPN < globalDirPages:
+		m.globals = place(m.globals, pn-globalFirstPN, p)
+	default:
+		if m.other == nil {
+			m.other = make(map[uint64]*page)
+		}
+		m.other[pn] = p
+	}
 	return p
+}
+
+// place stores p at index i of dir, growing dir to cover i.
+func place(dir []*page, i uint64, p *page) []*page {
+	if n := uint64(len(dir)); i >= n {
+		dir = append(dir, make([]*page, i+1-n)...)
+	}
+	dir[i] = p
+	return dir
 }
 
 // ReadBytes copies len(dst) bytes starting at addr into dst.
 func (m *Memory) ReadBytes(addr uint64, dst []byte) {
 	for len(dst) > 0 {
-		p := m.page(addr)
 		off := addr % PageSize
-		n := copy(dst, p[off:])
+		var n int
+		if p := m.lookup(addr); p != nil {
+			n = copy(dst, p[off:])
+		} else {
+			n = copy(dst, zeroPage[off:])
+		}
 		dst = dst[n:]
 		addr += uint64(n)
 	}
 }
 
+// zeroPage is what a page that does not exist reads as.
+var zeroPage page
+
 // WriteBytes copies src into memory starting at addr.
 func (m *Memory) WriteBytes(addr uint64, src []byte) {
 	for len(src) > 0 {
-		p := m.page(addr)
+		p := m.writePage(addr)
 		off := addr % PageSize
 		n := copy(p[off:], src)
 		src = src[n:]
@@ -122,18 +172,25 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 	var buf [8]byte
 	switch size {
 	case 1:
-		return uint64(m.page(addr)[addr%PageSize])
+		if p := m.lookup(addr); p != nil {
+			return uint64(p[addr%PageSize])
+		}
+		return 0
 	case 4:
 		if addr%PageSize <= PageSize-4 {
-			p := m.page(addr)
-			return uint64(binary.LittleEndian.Uint32(p[addr%PageSize:]))
+			if p := m.lookup(addr); p != nil {
+				return uint64(binary.LittleEndian.Uint32(p[addr%PageSize:]))
+			}
+			return 0
 		}
 		m.ReadBytes(addr, buf[:4])
 		return uint64(binary.LittleEndian.Uint32(buf[:4]))
 	case 8:
 		if addr%PageSize <= PageSize-8 {
-			p := m.page(addr)
-			return binary.LittleEndian.Uint64(p[addr%PageSize:])
+			if p := m.lookup(addr); p != nil {
+				return binary.LittleEndian.Uint64(p[addr%PageSize:])
+			}
+			return 0
 		}
 		m.ReadBytes(addr, buf[:8])
 		return binary.LittleEndian.Uint64(buf[:8])
@@ -147,10 +204,10 @@ func (m *Memory) Write(addr uint64, size int, val uint64) {
 	var buf [8]byte
 	switch size {
 	case 1:
-		m.page(addr)[addr%PageSize] = byte(val)
+		m.writePage(addr)[addr%PageSize] = byte(val)
 	case 4:
 		if addr%PageSize <= PageSize-4 {
-			p := m.page(addr)
+			p := m.writePage(addr)
 			binary.LittleEndian.PutUint32(p[addr%PageSize:], uint32(val))
 			return
 		}
@@ -158,7 +215,7 @@ func (m *Memory) Write(addr uint64, size int, val uint64) {
 		m.WriteBytes(addr, buf[:4])
 	case 8:
 		if addr%PageSize <= PageSize-8 {
-			p := m.page(addr)
+			p := m.writePage(addr)
 			binary.LittleEndian.PutUint64(p[addr%PageSize:], val)
 			return
 		}
@@ -181,29 +238,28 @@ func (m *Memory) Read32(addr uint64) uint32 { return uint32(m.Read(addr, 4)) }
 // Write32 is shorthand for Write(addr, 4, val).
 func (m *Memory) Write32(addr uint64, val uint32) { m.Write(addr, 4, uint64(val)) }
 
-// PagesTouched returns how many distinct pages have been materialized;
-// useful in tests asserting sparseness.
-func (m *Memory) PagesTouched() int { return len(m.pages) }
+// PagesTouched returns how many distinct pages have been written; useful
+// in tests asserting sparseness.
+func (m *Memory) PagesTouched() int { return m.npages }
 
 // Digest returns an FNV-1a-style hash of memory contents plus the heap
 // bounds, folded a 64-bit word at a time (page contents are hashed as 512
 // little-endian words, not 4096 bytes: the byte-serial multiply chain was
-// a fixed per-cell cost visible in profiles). All-zero pages are
-// excluded: reads materialize pages too (the GRP pointer scanner reads
-// speculatively), so which zero pages exist depends on timing-layer
-// behavior, while the *contents* of memory do not. The digest therefore
-// captures exactly the architectural state, making it the memory half of
-// the metamorphic fault-injection check.
+// a fixed per-cell cost visible in profiles). It hashes the non-zero
+// pages in page-number order. Pages exist only where something was
+// written, but a write of zeros creates one too, and an all-zero page is
+// the same architectural state as no page; skipping them keeps the digest
+// a function of memory contents alone, making it the memory half of the
+// metamorphic fault-injection check.
 func (m *Memory) Digest() uint64 {
-	// Hash pages in page-number order for a deterministic result.
-	pns := make([]uint64, 0, len(m.pages))
-	for pn, p := range m.pages {
-		if *p == ([PageSize]byte{}) {
-			continue
-		}
-		pns = append(pns, pn)
+	// The map holds pages below the globals directory and above the heap
+	// directory; hash them on either side of the directories.
+	other := make([]uint64, 0, len(m.other))
+	for pn := range m.other {
+		other = append(other, pn)
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	sort.Slice(other, func(i, j int) bool { return other[i] < other[j] })
+	high := sort.Search(len(other), func(i int) bool { return other[i] >= heapFirstPN })
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -213,14 +269,28 @@ func (m *Memory) Digest() uint64 {
 		h ^= v
 		h *= prime64
 	}
-	h1(m.heapStart)
-	h1(m.heapBrk)
-	for _, pn := range pns {
+	hashPage := func(pn uint64, p *page) {
+		if p == nil || *p == zeroPage {
+			return
+		}
 		h1(pn)
-		p := m.pages[pn]
 		for off := 0; off < PageSize; off += 8 {
 			h1(binary.LittleEndian.Uint64(p[off:]))
 		}
+	}
+	h1(m.heapStart)
+	h1(m.heapBrk)
+	for _, pn := range other[:high] {
+		hashPage(pn, m.other[pn])
+	}
+	for i, p := range m.globals {
+		hashPage(globalFirstPN+uint64(i), p)
+	}
+	for i, p := range m.heap {
+		hashPage(heapFirstPN+uint64(i), p)
+	}
+	for _, pn := range other[high:] {
+		hashPage(pn, m.other[pn])
 	}
 	return h
 }

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"encoding/binary"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -158,5 +161,132 @@ func TestHelpers32And64(t *testing.T) {
 	m.Write64(128, 0xfeedfacecafebeef)
 	if m.Read64(128) != 0xfeedfacecafebeef {
 		t.Error("Write64/Read64 mismatch")
+	}
+}
+
+// pageModel is the reference the differential test runs Memory against:
+// a map of pages that exist once written, read byte by byte.
+type pageModel map[uint64]*[PageSize]byte
+
+func (pm pageModel) write(addr uint64, size int, val uint64) {
+	for k := 0; k < size; k++ {
+		a := addr + uint64(k)
+		p := pm[a/PageSize]
+		if p == nil {
+			p = new([PageSize]byte)
+			pm[a/PageSize] = p
+		}
+		p[a%PageSize] = byte(val >> (8 * k))
+	}
+}
+
+func (pm pageModel) read(addr uint64, size int) uint64 {
+	var v uint64
+	for k := 0; k < size; k++ {
+		a := addr + uint64(k)
+		if p := pm[a/PageSize]; p != nil {
+			v |= uint64(p[a%PageSize]) << (8 * k)
+		}
+	}
+	return v
+}
+
+// digest is Digest's definition: FNV-1a over the heap bounds, then the
+// number and 512 little-endian words of each non-zero page, in page order.
+func (pm pageModel) digest(heapStart, heapBrk uint64) uint64 {
+	var pns []uint64
+	for pn, p := range pm {
+		if *p != ([PageSize]byte{}) {
+			pns = append(pns, pn)
+		}
+	}
+	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		h ^= v
+		h *= 1099511628211
+	}
+	mix(heapStart)
+	mix(heapBrk)
+	for _, pn := range pns {
+		mix(pn)
+		for off := 0; off < PageSize; off += 8 {
+			mix(binary.LittleEndian.Uint64(pm[pn][off:]))
+		}
+	}
+	return h
+}
+
+// TestMemoryMatchesPageModel runs seeded mixes of 1-, 4- and 8-byte
+// writes and reads against the page model, over the globals segment, the
+// heap, page straddles, both edges of each page directory and addresses
+// outside both (near 0 and 1<<40). Every read, the page count and the
+// final Digest must agree; then reads of untouched pages must return zero
+// and leave the page count and the Digest as they were.
+func TestMemoryMatchesPageModel(t *testing.T) {
+	heapEnd := HeapBase + heapDirPages*PageSize
+	bases := []uint64{
+		GlobalBase, GlobalBase + 40*PageSize, // globals
+		HeapBase + 3*PageSize, HeapBase + 200*PageSize, // heap
+		GlobalBase, HeapBase, heapEnd, // directory edges
+		0, 1 << 40, // outside both
+	}
+	sizes := []int{1, 4, 8}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, pm := New(), pageModel{}
+		for k := 0; k < 20000; k++ {
+			base := bases[rng.Intn(len(bases))]
+			var addr uint64
+			switch rng.Intn(3) {
+			case 0: // anywhere in the next few pages
+				addr = base + uint64(rng.Intn(4*PageSize))
+			case 1: // straddling the page boundary at or after base
+				addr = base&^(PageSize-1) + uint64(rng.Intn(3))*PageSize + PageSize - uint64(1+rng.Intn(7))
+			default: // just below base, which crosses a directory edge
+				addr = base - uint64(1+rng.Intn(16))
+			}
+			size := sizes[rng.Intn(len(sizes))]
+			if rng.Intn(5) < 3 {
+				val := rng.Uint64()
+				if rng.Intn(8) == 0 {
+					val = 0 // zero pages must not reach the digest
+				}
+				m.Write(addr, size, val)
+				pm.write(addr, size, val)
+			} else if got, want := m.Read(addr, size), pm.read(addr, size); got != want {
+				t.Fatalf("seed %d op %d: Read(%#x, %d) = %#x, model %#x", seed, k, addr, size, got, want)
+			}
+			if rng.Intn(500) == 0 {
+				m.Alloc(uint64(rng.Intn(3*PageSize)), 8)
+			}
+		}
+		if m.PagesTouched() != len(pm) {
+			t.Errorf("seed %d: %d pages, model %d", seed, m.PagesTouched(), len(pm))
+		}
+		start, brk := m.HeapRange()
+		d := m.Digest()
+		if want := pm.digest(start, brk); d != want {
+			t.Errorf("seed %d: Digest %#x, model %#x", seed, d, want)
+		}
+
+		pages := m.PagesTouched()
+		buf := make([]byte, 3*PageSize)
+		for _, base := range bases {
+			for off := uint64(8 * PageSize); off < 12*PageSize; off += 8 {
+				addr := base + off
+				if pm.read(addr, 8) != 0 {
+					continue // written above; only untouched pages count here
+				}
+				if v := m.Read(addr, 8); v != 0 {
+					t.Fatalf("seed %d: untouched %#x reads %#x", seed, addr, v)
+				}
+			}
+			m.ReadBytes(base+20*PageSize-5, buf)
+		}
+		if m.PagesTouched() != pages || m.Digest() != d {
+			t.Errorf("seed %d: reads of untouched pages changed memory: %d pages → %d, digest %#x → %#x",
+				seed, pages, m.PagesTouched(), d, m.Digest())
+		}
 	}
 }

@@ -196,10 +196,13 @@ func TestIdempotentResubmission(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: malformed submissions get structured 400s.
+// TestSubmitValidation: malformed submissions get structured 400s,
+// including sizes the core or a cache cannot be built with.
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Mem: true, Workers: 1})
-	for _, body := range []string{``, `{`, `{"spec": ""}`, `{"spec": "schemes=base × kernels=mcf", "weight": 99}`} {
+	for _, body := range []string{``, `{`, `{"spec": ""}`, `{"spec": "schemes=base × kernels=mcf", "weight": 99}`,
+		`{"spec": "schemes=base × kernels=mcf × rob=2000000000"}`,
+		`{"spec": "schemes=base × kernels=mcf × l2.size=64G"}`} {
 		resp, data := postSweep(t, ts.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %s, want 400", body, resp.Status)

@@ -88,6 +88,11 @@ func main() {
 			usageErr(err)
 		}
 	}
+	// Each axis checks only its own value; the combination is checked
+	// here, so a bad overlay is refused before any cell runs.
+	if err := base.Validate(); err != nil {
+		usageErr(fmt.Errorf("overlay %s: %w", overlays.String(), err))
+	}
 
 	if *h2h {
 		h2hCfg := conformance.H2HConfig{N: *n, Seed: *seed, Jobs: *jobs, Base: base}

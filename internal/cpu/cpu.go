@@ -94,9 +94,8 @@ type Config struct {
 	MaxInstrs uint64
 
 	// LegacyScheduler selects the pre-overhaul map-based slot tables
-	// instead of the epoch-tagged ring buffers. Cycle-identical by
-	// construction; kept only as the reference engine behind
-	// core.Options.LegacyEngine.
+	// instead of the byte rings. Cycle-identical by construction; kept
+	// only as the reference engine behind core.Options.LegacyEngine.
 	LegacyScheduler bool
 
 	// Cancel, when non-nil, is polled every few thousand instructions; a
@@ -241,33 +240,29 @@ func decode(in isa.Instr) uop {
 // fall back to the spill map. Over a pass of the small grid every probe
 // landed under 2^11 cycles above the frontier, and co-run cells under
 // 2^12, so 2^12 keeps the spill map empty while the two tables of a
-// thread cost 72 KB (DESIGN.md §10 has the histogram).
+// thread cost 8 KB (DESIGN.md §10 has the histogram).
 const slotWindow = 1 << 12
 
 // slotTable tracks per-cycle resource usage (issue slots, memory ports).
 //
-// The default representation is an epoch-tagged ring buffer: slot
-// c&(slotWindow-1) holds the count for cycle c while epoch records which
-// cycle the entry belongs to. Every probe happens at a cycle strictly
-// above the fetch frontier (reserveWith receives it), and the frontier is
-// monotonic, so any entry whose epoch is at or below it is dead and can
-// be reclaimed in place — no eager clearing, no per-entry allocation, no
-// hashing on the hot path. The count for a cycle lives in exactly one
-// place: the ring iff the cycle is inside the window and owns its slot
-// (epoch match); otherwise the spill map. Reclaiming a dead slot pulls
-// any spill count for the new cycle into the ring, which keeps that
-// invariant across frontier advances. Far-future probes (≥ slotWindow
-// ahead) and live ring collisions go to the spill map, which stays empty
-// in practice, so a probe skips the map lookup while it is empty.
+// The default representation is a ring of one byte per cycle: slot
+// c&(slotWindow-1) holds the count of cycle c while base < c ≤
+// base+slotWindow, where base is the fetch frontier. Every probe happens
+// at a cycle strictly above the frontier (reserveWith receives it), and
+// the frontier is monotonic, so when it moves the cycles it passes are
+// dead: advance zeroes their slots, which become the slots of the cycles
+// entering at the top of the window, and pulls in any counts spilled for
+// those. The count for a cycle lives in exactly one place: the ring iff
+// the cycle is inside the window, otherwise the spill map. Probes beyond
+// the window go to the spill map, which stays empty in practice.
 //
 // The pre-overhaul sparse map lives on behind legacy for the reference
 // engine; both representations reserve identical cycles.
 type slotTable struct {
 	limit uint8
 
-	ring  []uint8  // per-cycle counts, indexed by cycle & (slotWindow-1)
-	epoch []uint64 // cycle each ring entry belongs to
-	base  uint64   // fetch frontier: cycles ≤ base are dead
+	ring  []uint8 // per-cycle counts, indexed by cycle & (slotWindow-1)
+	base  uint64  // fetch frontier: cycles ≤ base are dead
 	spill map[uint64]uint8
 
 	legacy bool
@@ -280,54 +275,69 @@ func newSlotTable(limit int, legacy bool) *slotTable {
 		s.counts = make(map[uint64]uint8)
 	} else {
 		s.ring = make([]uint8, slotWindow)
-		s.epoch = make([]uint64, slotWindow)
 		s.spill = make(map[uint64]uint8)
 	}
 	return s
 }
 
+// inWindow reports whether cycle c's count lives in the ring.
+func (s *slotTable) inWindow(c uint64) bool { return c-s.base-1 < slotWindow }
+
+// advance moves the frontier up to frontier (> s.base): the slots of the
+// cycles it passes are zeroed and taken over by the cycles entering the
+// window, along with any counts spilled for them.
+func (s *slotTable) advance(frontier uint64) {
+	old := s.base
+	s.base = frontier
+	switch d := frontier - old; {
+	case d >= slotWindow:
+		clear(s.ring)
+	case d <= 16:
+		for c := old + 1; c <= frontier; c++ {
+			s.ring[c&(slotWindow-1)] = 0
+		}
+	default:
+		lo, hi := (old+1)&(slotWindow-1), frontier&(slotWindow-1)
+		if lo <= hi {
+			clear(s.ring[lo : hi+1])
+		} else {
+			clear(s.ring[lo:])
+			clear(s.ring[:hi+1])
+		}
+	}
+	if len(s.spill) == 0 {
+		return
+	}
+	// The cycles above max(old+slotWindow, frontier) entered the window.
+	for c := max(old+slotWindow, frontier) + 1; c <= frontier+slotWindow; c++ {
+		if v, ok := s.spill[c]; ok {
+			s.ring[c&(slotWindow-1)] = v
+			delete(s.spill, c)
+		}
+	}
+}
+
 // countAt returns the reservation count at cycle c (c > s.base).
 func (s *slotTable) countAt(c uint64) uint8 {
-	if idx := c & (slotWindow - 1); c-s.base < slotWindow && s.epoch[idx] == c {
-		return s.ring[idx]
-	}
-	// A dead slot, a live collision or a cycle beyond the window: any
-	// count for c is spilled.
-	if len(s.spill) == 0 {
-		return 0
+	if s.inWindow(c) {
+		return s.ring[c&(slotWindow-1)]
 	}
 	return s.spill[c]
 }
 
 // claim records one reservation at cycle c (c > s.base).
 func (s *slotTable) claim(c uint64) {
-	if c-s.base < slotWindow {
-		idx := c & (slotWindow - 1)
-		if s.epoch[idx] == c {
-			s.ring[idx]++
-			return
-		}
-		if s.epoch[idx] <= s.base {
-			// Reclaim the dead slot, absorbing any spilled count so the
-			// cycle's tally lives in exactly one place.
-			s.epoch[idx] = c
-			var v uint8
-			if len(s.spill) != 0 {
-				if v = s.spill[c]; v != 0 {
-					delete(s.spill, c)
-				}
-			}
-			s.ring[idx] = v + 1
-			return
-		}
+	if s.inWindow(c) {
+		s.ring[c&(slotWindow-1)]++
+	} else {
+		s.spill[c]++
 	}
-	s.spill[c]++
 }
 
 // reserveWith finds the first cycle >= at with a free slot in both s and
 // (when other != nil) other, and claims one slot in each. frontier is the
 // caller's fetch cycle: every probe, now and in the future, is strictly
-// above it, which is what licenses in-place reclamation of older entries.
+// above it, which is what lets advance retire older cycles.
 func (s *slotTable) reserveWith(at, frontier uint64, other *slotTable) uint64 {
 	if s.legacy {
 		for {
@@ -342,10 +352,28 @@ func (s *slotTable) reserveWith(at, frontier uint64, other *slotTable) uint64 {
 		}
 	}
 	if frontier > s.base {
-		s.base = frontier
+		s.advance(frontier)
 	}
-	if other != nil && frontier > other.base {
-		other.base = frontier
+	if other == nil {
+		// Probe and claim in one pass while the cycle is in the ring.
+		for ; s.inWindow(at); at++ {
+			if n := &s.ring[at&(slotWindow-1)]; *n < s.limit {
+				*n++
+				return at
+			}
+		}
+	} else {
+		if frontier > other.base {
+			other.advance(frontier)
+		}
+		for ; s.inWindow(at) && other.inWindow(at); at++ {
+			i := at & (slotWindow - 1)
+			if n, m := &s.ring[i], &other.ring[i]; *n < s.limit && *m < other.limit {
+				*n++
+				*m++
+				return at
+			}
+		}
 	}
 	for {
 		if s.countAt(at) < s.limit && (other == nil || other.countAt(at) < other.limit) {
@@ -371,7 +399,8 @@ func (s *slotTable) pruneBelow(c uint64) {
 		}
 		return
 	}
-	// The ring self-reclaims; only dead spill entries need sweeping.
+	// The ring retires its own cycles; only dead spill entries need
+	// sweeping.
 	for k := range s.spill {
 		if k < c {
 			delete(s.spill, k)

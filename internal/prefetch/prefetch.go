@@ -230,7 +230,10 @@ func (q *regionQueue) popOpenFirst(present, rowOpen func(uint64) bool) (block ui
 	n := int(e.blocks)
 	first := -1
 	for k := 0; k < n; k++ {
-		pos := (int(e.idx) + k) % n
+		pos := int(e.idx) + k
+		if pos >= n { // idx and k are below n: one subtract wraps
+			pos -= n
+		}
 		mask := uint64(1) << uint(pos)
 		if e.bits&mask == 0 {
 			continue
@@ -270,10 +273,14 @@ func (q *regionQueue) pop(present func(uint64) bool) (block uint64, ptrCtr uint8
 		e := &q.entries[0]
 		found := false
 		// Scan from idx, wrapping once around the region, as the hardware
-		// index field does.
+		// index field does. The scan re-reads idx after moving it past a
+		// present block, so it skips ahead (TestRegionPopScanOrder).
 		n := int(e.blocks)
 		for k := 0; k < n; k++ {
-			pos := (int(e.idx) + k) % n
+			pos := int(e.idx) + k
+			if pos >= n { // idx and k are below n: one subtract wraps
+				pos -= n
+			}
 			mask := uint64(1) << uint(pos)
 			if e.bits&mask == 0 {
 				continue

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -527,5 +528,56 @@ func TestPopOpenFirstGRPCarriesCounter(t *testing.T) {
 	}
 	if _, armed := g.scanCtr.Get(b); !armed {
 		t.Error("popped pointer target should be armed for scanning")
+	}
+}
+
+// TestRegionPopScanOrder pins the order in which pop yields a head
+// entry's candidates when some of them are already present. This is a
+// known deviation from the index-order scan of Sec. 3.1: after clearing
+// a present block, pop moves the entry's index past it and then also
+// advances its own loop counter from the new index, so the scan skips
+// k+1 positions. A candidate can therefore come out of order, or never:
+// in the last case block 3 is dropped with the entry. Fixing it changes
+// the srp, grp/fix, grp/var, ptr and grp-adaptive results.
+func TestRegionPopScanOrder(t *testing.T) {
+	const base = 0x40000
+	cases := []struct {
+		name    string
+		blocks  uint8
+		idx     uint8
+		bits    uint64
+		present []int // block positions the L2 already holds
+		want    []int // block positions in pop order
+	}{
+		{"8 blocks, block 0 present", 8, 0, 0xff, []int{0}, []int{2, 3, 4, 5, 6, 7, 1}},
+		{"8 blocks, even blocks present", 8, 0, 0xff, []int{0, 2, 4, 6}, []int{5, 1, 3, 7}},
+		{"4 blocks {0,2,3}, 0 and 2 present", 4, 0, 0b1101, []int{0, 2}, nil},
+		{"8 blocks, none present", 8, 0, 0xff, nil, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"8 blocks from index 6, block 7 present", 8, 6, 0xff, []int{7}, []int{6, 1, 2, 3, 4, 5, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			held := map[uint64]bool{}
+			for _, p := range tc.present {
+				held[base+uint64(p)*BlockBytes] = true
+			}
+			present := func(b uint64) bool { return held[b] }
+			var q regionQueue
+			q.pushHead(regionEntry{base: base, bits: tc.bits, idx: tc.idx, blocks: tc.blocks})
+			var got []int
+			for {
+				b, _, ok := q.pop(present)
+				if !ok {
+					break
+				}
+				got = append(got, int((b-base)/BlockBytes))
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("pop order %v, want %v", got, tc.want)
+			}
+			if q.len() != 0 {
+				t.Errorf("%d entries left after the scan, want 0", q.len())
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math/rand"
 	"testing"
 
 	"grp/internal/prefetch"
@@ -116,6 +117,68 @@ func TestArrivalHeapTieBreak(t *testing.T) {
 		ln := heap.Pop(&h).(*inflightLine)
 		if ln.block != w {
 			t.Fatalf("pop %d: block %d, want %d", i, ln.block, w)
+		}
+	}
+}
+
+// TestArrivalQueueMatchesHeap drives the sorted arrival array and the
+// legacy arrivalHeap through the same seeded insert/drain sequences, with
+// the monotone seq addInflight assigns, arrival times drawn from a few
+// cycles so that many lines tie, and bursts of up to 512 queued lines
+// between stretches near the few dozen that real cells hold. Both must
+// drain the same lines in the same order.
+func TestArrivalQueueMatchesHeap(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q arrivalQueue
+		var h arrivalHeap
+		var now, seq uint64
+		peak := 0
+		for round := 0; round < 200; round++ {
+			want := 1 + rng.Intn(26) // queued lines to build up to
+			if rng.Intn(10) == 0 {
+				want = 64 + rng.Intn(512-64+1)
+			}
+			spread := uint64(1 + rng.Intn(8)) // few distinct arrival cycles: ties
+			if rng.Intn(4) == 0 {
+				spread = 400
+			}
+			for q.len() < want {
+				ln := &inflightLine{block: seq, doneAt: now + 1 + uint64(rng.Int63n(int64(spread))), seq: seq}
+				seq++
+				q.insert(ln.doneAt, ln.seq, int32(ln.block))
+				heap.Push(&h, ln)
+			}
+			peak = max(peak, q.len())
+			// Drain up to a cycle that leaves some lines queued, sometimes
+			// everything.
+			now += uint64(rng.Int63n(int64(spread) + 1))
+			if rng.Intn(8) == 0 {
+				now += 1000
+			}
+			for {
+				idx := q.popDue(now)
+				var w *inflightLine
+				if len(h) > 0 && h[0].doneAt <= now {
+					w = heap.Pop(&h).(*inflightLine)
+				}
+				if idx < 0 || w == nil {
+					if idx >= 0 || w != nil {
+						t.Fatalf("seed %d round %d cycle %d: queue popped %d, heap popped %v", seed, round, now, idx, w)
+					}
+					break
+				}
+				if uint64(idx) != w.block {
+					t.Fatalf("seed %d round %d cycle %d: queue drained line %d, heap line %d (doneAt %d)",
+						seed, round, now, idx, w.block, w.doneAt)
+				}
+			}
+			if q.len() != len(h) {
+				t.Fatalf("seed %d round %d: queue holds %d lines, heap %d", seed, round, q.len(), len(h))
+			}
+		}
+		if peak < 64 {
+			t.Fatalf("seed %d: the queue never held more than %d lines", seed, peak)
 		}
 	}
 }

@@ -50,7 +50,15 @@ const (
 // serve the whole system. The telemetry sinks (metrics registry, sampler,
 // timeline) and the fill tamper describe a single core; callers attach
 // them only to one-core systems.
+//
+// The pump writes the system on every access, so the struct is padded to
+// whole host cache lines, the padding leading as in CorePort.
 type CoRunSystem struct {
+	_ [(lineBytes - unsafe.Sizeof(systemState{})%lineBytes) % lineBytes]byte
+	systemState
+}
+
+type systemState struct {
 	cfg  MemConfig
 	L2   *cache.Cache
 	Dram *dram.Controller
@@ -60,11 +68,10 @@ type CoRunSystem struct {
 
 	// In-flight lines live in a slab pool and are addressed by index; the
 	// block → index table is open-addressed and the arrival queue is a
-	// bucketed calendar queue (see queue.go), all allocation-free in
-	// steady state.
+	// sorted array (see queue.go), all allocation-free in steady state.
 	pool     linePool
 	inflight *oamap.I32
-	arrivals calendarQueue
+	arrivals arrivalQueue
 
 	cursor      uint64 // prefetch pump has run up to this cycle
 	lastSubmit  uint64 // monotonic clamp for request submission times
@@ -181,7 +188,7 @@ func NewCoRunSystem(cfg MemConfig, engines []prefetch.Engine) (*CoRunSystem, err
 	if err != nil {
 		return nil, err
 	}
-	cs := &CoRunSystem{
+	cs := &CoRunSystem{systemState: systemState{
 		cfg:         cfg,
 		L2:          l2,
 		Dram:        dc,
@@ -190,11 +197,10 @@ func NewCoRunSystem(cfg MemConfig, engines []prefetch.Engine) (*CoRunSystem, err
 		prioritizer: true,
 		asidOn:      n > 1,
 		localMask:   ^uint64(0),
-	}
+	}}
 	if cs.asidOn {
 		cs.localMask = coRunASIDMask
 	}
-	cs.arrivals.pool = &cs.pool
 	for i := 0; i < n; i++ {
 		l1, err := cache.New(cfg.L1)
 		if err != nil {
@@ -404,11 +410,8 @@ func (p *CorePort) rowOpen(block uint64) bool {
 
 // nextArrival returns the earliest queued arrival's completion cycle.
 func (cs *CoRunSystem) nextArrival() (uint64, bool) {
-	idx := cs.arrivals.peek()
-	if idx < 0 {
-		return 0, false
-	}
-	return cs.pool.at(idx).doneAt, true
+	a, ok := cs.arrivals.peek()
+	return a.doneAt, ok
 }
 
 // addInflight registers a new in-flight line under its global address.
@@ -419,7 +422,7 @@ func (cs *CoRunSystem) addInflight(block, doneAt uint64, pf bool) *inflightLine 
 	*ln = inflightLine{block: block, doneAt: doneAt, seq: cs.nextSeq, prefetch: pf, attribIdx: -1}
 	cs.nextSeq++
 	cs.inflight.Set(block, idx)
-	cs.arrivals.insert(idx)
+	cs.arrivals.insert(doneAt, ln.seq, idx)
 	return ln
 }
 
@@ -427,16 +430,8 @@ func (cs *CoRunSystem) addInflight(block, doneAt uint64, pf bool) *inflightLine 
 // routing each to its owning core's engine and settling cross-core
 // pollution on eviction.
 func (cs *CoRunSystem) processArrivals(t uint64) {
-	for {
-		idx := cs.arrivals.peek()
-		if idx < 0 {
-			return
-		}
+	for idx := cs.arrivals.popDue(t); idx >= 0; idx = cs.arrivals.popDue(t) {
 		ln := cs.pool.at(idx)
-		if ln.doneAt > t {
-			return
-		}
-		cs.arrivals.pop()
 		block, doneAt, pf, cancelled, attribIdx := ln.block, ln.doneAt, ln.prefetch, ln.cancelled, ln.attribIdx
 		cs.pool.release(idx)
 		if cancelled {
@@ -965,10 +960,6 @@ func (cs *CoRunSystem) CheckInvariants() error {
 	if qerr != nil {
 		return qerr
 	}
-	if entries != cs.arrivals.len() {
-		return fmt.Errorf("arrival queue size %d does not match bucket contents %d",
-			cs.arrivals.len(), entries)
-	}
 	if cs.pool.live() != entries {
 		return fmt.Errorf("line pool holds %d live slots, arrival queue %d entries",
 			cs.pool.live(), entries)
@@ -1085,8 +1076,8 @@ func (cs *CoRunSystem) DiagnosticDump(now uint64) string {
 		cs.cursor, cs.lastSubmit, cs.advanceID, cs.prioritizer)
 	fmt.Fprintf(&b, "  inflight: %d lines, %d cancelled in queue, %d queue entries\n",
 		cs.inflight.Len(), cs.cancelled, cs.arrivals.len())
-	if idx := cs.arrivals.peek(); idx >= 0 {
-		ln := cs.pool.at(idx)
+	if a, ok := cs.arrivals.peek(); ok {
+		ln := cs.pool.at(a.idx)
 		fmt.Fprintf(&b, "  next arrival: block %#x (core %d) at cycle %d\n",
 			ln.block, cs.ownerOf(ln.block), ln.doneAt)
 	}

@@ -1,10 +1,10 @@
 package sim
 
-// This file holds the overhauled arrival machinery: a slab pool of
-// in-flight lines addressed by index, and a bucketed calendar queue
-// ordered by (doneAt, seq) that replaces the container/heap arrivalHeap.
-// Both are allocation-free in steady state — the pool recycles slots and
-// the bucket slices keep their capacity — and both order arrivals by the
+// This file holds the arrival machinery: a slab pool of in-flight lines
+// addressed by index, and the arrival queue, a sorted array ordered by
+// (doneAt, seq) that replaces the container/heap arrivalHeap. Both are
+// allocation-free in steady state — the pool recycles slots and the
+// array keeps its capacity — and the queue orders arrivals by the
 // explicit (doneAt, seq) key, so drain order is identical to the legacy
 // heap by construction (see arrival_order_test.go).
 
@@ -41,115 +41,73 @@ func (p *linePool) at(idx int32) *inflightLine { return &p.lines[idx] }
 // live returns the number of slots currently allocated.
 func (p *linePool) live() int { return len(p.lines) - len(p.free) }
 
-// Calendar-queue geometry: calDays buckets of calWidth cycles each. The
-// horizon (calDays × calWidth = 16384 cycles) comfortably covers the
-// DRAM round trip plus queueing, so in practice every queued arrival
-// lands within the current "year" and peek touches one or two buckets.
-// Entries beyond the horizon are still correct — each bucket is ordered
-// and peek checks the head's day — they only cost longer cursor walks.
-const (
-	calDays  = 256
-	calShift = 6 // bucket width 64 cycles
-)
-
-// calendarQueue is a priority queue of pooled line indices keyed by
-// (doneAt, seq). Bucket b holds the entries of every day d with
-// d % calDays == b, each bucket insertion-sorted by the key; the day
-// cursor tracks the minimum live day, advancing over empty days on peek
-// and snapping back on inserts behind it.
-type calendarQueue struct {
-	pool    *linePool
-	buckets [calDays][]int32
-	day     uint64 // cursor ≤ the minimum live day
-	size    int
+// arrival is one queued line: its (doneAt, seq) key and its pool index.
+type arrival struct {
+	doneAt, seq uint64
+	idx         int32
 }
 
-func (q *calendarQueue) len() int { return q.size }
+// arrivalQueue is a priority queue of pooled lines keyed by (doneAt, seq),
+// kept as a sorted array: q[head:] holds the queue, soonest first. It
+// holds what the L2's MSHRs and the prefetch budget keep in flight, a few
+// dozen lines at most (DESIGN.md §10 has the histogram). A new line
+// carries the highest seq and is usually among the latest to arrive, so
+// insertion scans back from the tail, and a drain compares only the
+// head. Larger queues stay correct, at the cost of longer insertion
+// scans.
+type arrivalQueue struct {
+	q    []arrival
+	head int
+}
 
-// insert queues the pooled line at idx by its (doneAt, seq) key.
-func (q *calendarQueue) insert(idx int32) {
-	ln := q.pool.at(idx)
-	day := ln.doneAt >> calShift
-	if q.size == 0 || day < q.day {
-		q.day = day
+func (a *arrivalQueue) len() int { return len(a.q) - a.head }
+
+// insert queues the pooled line idx under its (doneAt, seq) key.
+func (a *arrivalQueue) insert(doneAt, seq uint64, idx int32) {
+	if len(a.q) == cap(a.q) && 2*a.head >= len(a.q) {
+		// Slide the live entries down over the popped ones rather than
+		// grow; with half or more popped, a slide moves no more entries
+		// than it frees.
+		a.q = a.q[:copy(a.q, a.q[a.head:])]
+		a.head = 0
 	}
-	b := q.buckets[day%calDays]
-	lo, hi := 0, len(b)
-	for lo < hi {
-		m := (lo + hi) / 2
-		lm := q.pool.at(b[m])
-		if lm.doneAt < ln.doneAt || (lm.doneAt == ln.doneAt && lm.seq < ln.seq) {
-			lo = m + 1
-		} else {
-			hi = m
+	a.q = append(a.q, arrival{})
+	i := len(a.q) - 1
+	for ; i > a.head; i-- {
+		if p := a.q[i-1]; p.doneAt < doneAt || (p.doneAt == doneAt && p.seq < seq) {
+			break
 		}
+		a.q[i] = a.q[i-1]
 	}
-	b = append(b, 0)
-	copy(b[lo+1:], b[lo:])
-	b[lo] = idx
-	q.buckets[day%calDays] = b
-	q.size++
+	a.q[i] = arrival{doneAt: doneAt, seq: seq, idx: idx}
 }
 
-// peek returns the index of the minimum entry without removing it, or -1
-// when empty. It advances the day cursor over empty days; if a full lap
-// finds only future-year heads (arrivals beyond the horizon), it jumps
-// the cursor straight to the global minimum.
-func (q *calendarQueue) peek() int32 {
-	if q.size == 0 {
+// peek returns the soonest entry, or false when the queue is empty.
+func (a *arrivalQueue) peek() (arrival, bool) {
+	if a.head == len(a.q) {
+		return arrival{}, false
+	}
+	return a.q[a.head], true
+}
+
+// popDue removes and returns the soonest line's index if it arrives by
+// cycle t, or -1.
+func (a *arrivalQueue) popDue(t uint64) int32 {
+	if a.head == len(a.q) || a.q[a.head].doneAt > t {
 		return -1
 	}
-	day := q.day
-	for lap := 0; lap < calDays; lap++ {
-		if b := q.buckets[day%calDays]; len(b) > 0 {
-			if q.pool.at(b[0]).doneAt>>calShift == day {
-				q.day = day
-				return b[0]
-			}
-		}
-		day++
+	idx := a.q[a.head].idx
+	if a.head++; a.head == len(a.q) {
+		a.q, a.head = a.q[:0], 0
 	}
-	// Sparse far-future case: every bucket head (the bucket minimum) is a
-	// candidate; the smallest key among them is the global minimum.
-	best := int32(-1)
-	for d := range q.buckets {
-		b := q.buckets[d]
-		if len(b) == 0 {
-			continue
-		}
-		if best < 0 {
-			best = b[0]
-			continue
-		}
-		lb, lc := q.pool.at(b[0]), q.pool.at(best)
-		if lb.doneAt < lc.doneAt || (lb.doneAt == lc.doneAt && lb.seq < lc.seq) {
-			best = b[0]
-		}
-	}
-	q.day = q.pool.at(best).doneAt >> calShift
-	return best
-}
-
-// pop removes and returns the minimum entry, or -1 when empty.
-func (q *calendarQueue) pop() int32 {
-	idx := q.peek()
-	if idx < 0 {
-		return -1
-	}
-	b := q.buckets[q.day%calDays]
-	copy(b, b[1:])
-	q.buckets[q.day%calDays] = b[:len(b)-1]
-	q.size--
 	return idx
 }
 
-// forEach visits every queued entry in unspecified order (diagnostics,
+// forEach visits every queued entry in drain order (diagnostics,
 // invariant audits, and fault victim selection, which orders by seq
 // itself).
-func (q *calendarQueue) forEach(f func(idx int32)) {
-	for d := range q.buckets {
-		for _, idx := range q.buckets[d] {
-			f(idx)
-		}
+func (a *arrivalQueue) forEach(f func(idx int32)) {
+	for _, e := range a.q[a.head:] {
+		f(e.idx)
 	}
 }

@@ -14,7 +14,10 @@
 //     covers every demand fill, and coverage against the no-prefetch
 //     baseline never exceeds 100% (it may legitimately go negative — the
 //     paper's SRP/ammp cell does — so no lower bound is asserted);
-//   - the perfect-L2 cycle count lower-bounds every realistic scheme.
+//   - the perfect-L2 cycle count lower-bounds every realistic scheme;
+//   - timing referees (referee.go): the perfect-L2 cell equals a core
+//     driving the ideal port, and every fault-free cell equals core 0 of
+//     a co-run beside an idle core.
 //
 // A failing program can be shrunk (see shrink.go) to a minimal reproducer
 // for the bug report. The harness is deterministic in (seed, config):
@@ -110,7 +113,7 @@ type Failure struct {
 	Seed    int64
 	Scheme  core.Scheme
 	Variant string // "" for the fault-free pass
-	Kind    string // run-error, no-halt, oracle-divergence, scheme-divergence, metric, attrib, cycle-bound, timing-divergence
+	Kind    string // run-error, no-halt, oracle-divergence, scheme-divergence, metric, attrib, cycle-bound, ideal-port, idle-corunner, timing-divergence
 	Detail  string
 }
 
@@ -128,6 +131,7 @@ type ProgramReport struct {
 	Skipped    bool
 	SkipReason string
 	Cells      int // simulator cells run
+	Relations  int // timing-referee runs: ideal port and idle co-runner
 	Steps      int // interpreter oracle steps
 	Failures   []Failure
 }
@@ -159,17 +163,18 @@ func (r *Report) Failures() []Failure {
 // Summary renders the deterministic campaign summary: identical input and
 // configuration produce byte-identical text, whatever the worker count.
 func (r *Report) Summary() string {
-	var cells, skipped int
+	var cells, relations, skipped int
 	for _, p := range r.Programs {
 		cells += p.Cells
+		relations += p.Relations
 		if p.Skipped {
 			skipped++
 		}
 	}
 	fails := r.Failures()
 	var b strings.Builder
-	fmt.Fprintf(&b, "conformance: %d programs, %d cells, %d skipped, %d failures\n",
-		len(r.Programs), cells, skipped, len(fails))
+	fmt.Fprintf(&b, "conformance: %d programs, %d cells, %d relation runs, %d skipped, %d failures\n",
+		len(r.Programs), cells, relations, skipped, len(fails))
 	for _, f := range fails {
 		fmt.Fprintf(&b, "  FAIL %s\n", f)
 	}
@@ -277,7 +282,7 @@ func CheckWorkload(cfg Config, seed int64, w *progen.Workload) *ProgramReport {
 		schemes = DefaultSchemes()
 	}
 
-	runCell := func(sc core.Scheme, variant string, plan *faults.Plan) *core.Result {
+	cellOptions := func(plan *faults.Plan) core.Options {
 		opt := cloneOptions(cfg.Base)
 		opt.Faults = plan
 		opt.CheckInvariants = true
@@ -286,8 +291,11 @@ func CheckWorkload(cfg Config, seed int64, w *progen.Workload) *ProgramReport {
 		// cell outright on a conservation violation, and checkMetrics
 		// reconciles the ledger against the counter-based metrics.
 		opt.Attrib = true
+		return opt
+	}
+	runCell := func(sc core.Scheme, variant string, plan *faults.Plan) *core.Result {
 		pr.Cells++
-		r, err := core.Run(spec, sc, opt)
+		r, err := core.Run(spec, sc, cellOptions(plan))
 		if err != nil {
 			fail(sc, variant, "run-error", err.Error())
 			return nil
@@ -305,6 +313,16 @@ func CheckWorkload(cfg Config, seed int64, w *progen.Workload) *ProgramReport {
 	if ref != nil && ref.MemDigest != oracle {
 		fail(core.PerfectL2, "", "oracle-divergence",
 			fmt.Sprintf("mem digest %016x, oracle %016x", ref.MemDigest, oracle))
+	}
+	if ref != nil {
+		pr.Relations++
+		diffs, err := idealPortDiff(spec, cfg.Base, ref)
+		switch {
+		case err != nil:
+			fail(core.PerfectL2, "", "run-error", fmt.Sprintf("ideal port: %v", err))
+		case len(diffs) > 0:
+			fail(core.PerfectL2, "", "ideal-port", "first divergent field: "+diffs[0])
+		}
 	}
 
 	var archRef *core.Result
@@ -341,6 +359,18 @@ func CheckWorkload(cfg Config, seed int64, w *progen.Workload) *ProgramReport {
 			}
 			checkMetrics(r, ref, fail, sc, v.Name)
 			clean = append(clean, namedResult{r: r, variant: v.Name})
+			// The idle co-runner relation, on fault-free cells; a co-run
+			// refuses the fill tamper.
+			if v.Plan == nil && cfg.Tamper == nil {
+				pr.Relations++
+				diffs, err := coRunnerDiff(spec, idleSpec, sc, cellOptions(nil), r)
+				switch {
+				case err != nil:
+					fail(sc, "", "run-error", fmt.Sprintf("idle co-runner: %v", err))
+				case len(diffs) > 0:
+					fail(sc, "", "idle-corunner", "core 0 beside an idle core vs solo; first divergent field: "+diffs[0])
+				}
+			}
 			if cfg.TimingCheck && v.Plan == nil {
 				checkTiming(cfg, spec, r, pr, fail, sc)
 			}

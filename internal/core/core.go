@@ -273,7 +273,7 @@ func Run(spec *workloads.Spec, scheme Scheme, opt Options) (*Result, error) {
 	if len(opt.CoRun) > 0 {
 		return runCoRunCell(spec, scheme, opt)
 	}
-	rs, err := runCores([]*workloads.Spec{spec}, scheme, opt, false)
+	rs, err := runCores([]*workloads.Spec{spec}, scheme, opt, false, engineFor)
 	if err != nil {
 		return nil, err
 	}
@@ -311,8 +311,9 @@ type corePort interface {
 // Threads interleave deterministically: the unfinished core whose last
 // commit is furthest behind in cycles steps next (the lower core id on
 // ties), so a run is exactly reproducible at any host parallelism. With
-// coRun set, each Result carries its CoRunInfo.
-func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool) ([]*Result, error) {
+// coRun set, each Result carries its CoRunInfo. newEngine builds each
+// core's prefetch engine: engineFor, or a wrapper of it in tests.
+func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, newEngine engineMaker) ([]*Result, error) {
 	n := len(specs)
 	benches := make([]string, n)
 	for i, spec := range specs {
@@ -356,7 +357,7 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool) (
 		}
 		built.Init(st.m, layout)
 		st.prog = prog
-		st.engine = engineFor(scheme, spec, st.m, opt)
+		st.engine = newEngine(scheme, spec, st.m, opt)
 		st.maxInstrs = built.MaxInstrs
 		engines[i] = st.engine
 	}
@@ -611,6 +612,11 @@ func archDigest(c *cpu.Core, cres cpu.Result, memDigest uint64) uint64 {
 	return h
 }
 
+// engineMaker builds one core's prefetch engine over its functional
+// memory m.
+type engineMaker func(scheme Scheme, spec *workloads.Spec, m *mem.Memory, opt Options) prefetch.Engine
+
+// engineFor is the engineMaker of every run: the scheme's engine.
 func engineFor(scheme Scheme, spec *workloads.Spec, m *mem.Memory, opt Options) prefetch.Engine {
 	switch scheme {
 	case StridePF:

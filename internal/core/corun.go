@@ -104,7 +104,7 @@ func RunCoRunSpecs(specs []*workloads.Spec, scheme Scheme, opt Options) (*CoRunR
 	if err := validateCoRun(opt, len(specs)); err != nil {
 		return nil, err
 	}
-	rs, err := runCores(specs, scheme, opt, true)
+	rs, err := runCores(specs, scheme, opt, true, engineFor)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,13 @@
 // Command grpconform runs the differential conformance campaign: N seeded
 // generated programs, each executed by the functional interpreter (the
 // oracle) and by the timed simulator under every requested scheme and
-// fault variant, asserting architectural equality and metric sanity (see
-// internal/conformance).
+// fault variant, asserting architectural equality, metric sanity and the
+// timing relations (see internal/conformance).
 //
 // Usage:
 //
 //	grpconform -n 500 -seed 1 -jobs 8 [-schemes base,srp,grp/var] \
-//	    [-faults 'light;heavy'] [-overlay l2.size=512K] [-arith] [-timing] \
+//	    [-faults 'light;heavy'] [-overlay l2.size=512K] [-arith] \
 //	    [-shrink] [-shrink-out repro.txt] [-q] [-listen localhost:6060]
 //	grpconform -h2h [-n 50] [-seed 1] [-jobs 8]
 //
@@ -59,7 +59,6 @@ func main() {
 		faultSpec = flag.String("faults", "", "semicolon-separated fault variants (preset names or key=value specs; empty/none = fault-free only)")
 		arith     = flag.Bool("arith", false, "restrict the generator to the arithmetic-only grammar (no heap idioms)")
 		maxSteps  = flag.Int("max-steps", 0, "interpreter oracle step cap; longer programs are skipped (0 = default)")
-		timing    = flag.Bool("timing", false, "rerun every clean cell on the legacy engine and require cycle-for-cycle equality")
 		shrink    = flag.Bool("shrink", false, "on failure, minimize the first failing program and print the reproducer")
 		shrinkOut = flag.String("shrink-out", "", "also write the shrunk reproducer to this file")
 		quiet     = flag.Bool("q", false, "suppress per-program progress lines")
@@ -116,16 +115,15 @@ func main() {
 	defer stopSignals()
 
 	cfg := conformance.Config{
-		N:           *n,
-		Seed:        *seed,
-		Jobs:        *jobs,
-		Schemes:     scs,
-		Variants:    variants,
-		Base:        base,
-		Gen:         progen.Config{Arith: *arith},
-		MaxSteps:    *maxSteps,
-		TimingCheck: *timing,
-		Ctx:         ctx,
+		N:        *n,
+		Seed:     *seed,
+		Jobs:     *jobs,
+		Schemes:  scs,
+		Variants: variants,
+		Base:     base,
+		Gen:      progen.Config{Arith: *arith},
+		MaxSteps: *maxSteps,
+		Ctx:      ctx,
 	}
 	workers := *jobs
 	if workers <= 0 {

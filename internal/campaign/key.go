@@ -27,7 +27,8 @@ import (
 // 3: the hot-path overhaul made same-doneAt arrivals drain in FIFO issue
 // order (the legacy heap's tie order was unspecified), which decides L2
 // LRU state and pointer-scan order — pre-overhaul cached cells are
-// timing-incompatible. Options also gained LegacyEngine, now in the key.
+// timing-incompatible. Options also gained LegacyEngine, which the key
+// carried until schema 7.
 //
 // 4: Result gained the Attrib attribution summary and Options gained the
 // Attrib flag (now in the key); schema-3 cells would deserialize an
@@ -42,7 +43,10 @@ import (
 // co-runner's program hash) and Result gained the CoRun context; a
 // schema-5 cell deserialized into a co-run-aware reader would silently
 // present a solo result for a co-run cell or drop the CoRun field.
-const cacheSchemaVersion = 6
+//
+// 7: the legacy engine and Options.LegacyEngine are gone, and with them
+// the legacy_engine key field; every key's canonical form changed.
+const cacheSchemaVersion = 7
 
 // SchemaVersion reports the store's cell schema version. Fleet
 // dashboards compare it across servers (via the build-info gauge) to
@@ -111,9 +115,6 @@ func canonicalize(bench string, sc core.Scheme, opt core.Options, progHash uint6
 	// presence must still split the key so a tampered run can never serve
 	// as a clean cache hit (or vice versa).
 	set("tamper", opt.TamperPrefetchFill != nil)
-	// The two engines are cycle-exact twins, but they are different code;
-	// a legacy-engine run must never satisfy (or poison) a new-engine hit.
-	set("legacy_engine", opt.LegacyEngine)
 	// Co-run cells depend on every core's program, not just core 0's: the
 	// co-runner list is ordered (core ids) and each co-runner's compiled
 	// program is content-addressed alongside the cell's own prog.hash.

@@ -28,6 +28,11 @@ const schema4McfGRPVarDigest = "4a5244964b9d72e94295a8b6da4e061e9e2ba3c1a026417e
 // CoRun, Result grew the CoRun context). The schema bump to 6 retires it.
 const schema5McfGRPVarDigest = "4b253fd98e815b2a4a52522357551db70264f07354f85c639acdcb0d29d99ccf"
 
+// schema6McfGRPVarDigest is the same cell's content address under cache
+// schema 6, recorded immediately before the legacy engine and its
+// legacy_engine key field were deleted. The schema bump to 7 retires it.
+const schema6McfGRPVarDigest = "2d2bd6a9e13ed684fcce55220e78ebca1d3737b6ff50fc66e09d0dcee23d2f56"
+
 // TestSchemaBumpRetiresOldKeys recomputes the (mcf, grp/var, Test) key
 // with today's canonicalization — same recipe that recorded the schema-2
 // digest — and demands it moved. If this fails, either the schema was
@@ -51,6 +56,9 @@ func TestSchemaBumpRetiresOldKeys(t *testing.T) {
 	}
 	if k.Digest == schema5McfGRPVarDigest {
 		t.Fatalf("(mcf, grp/var, Test) still maps to its schema-5 digest %s; stale pre-co-run cells would hit", k.Digest)
+	}
+	if k.Digest == schema6McfGRPVarDigest {
+		t.Fatalf("(mcf, grp/var, Test) still maps to its schema-6 digest %s; cells keyed with legacy_engine would hit", k.Digest)
 	}
 }
 
@@ -138,20 +146,6 @@ func TestNewSchemesHaveKeyedVersions(t *testing.T) {
 	k2 := cellKey("mcf", core.GRPAdaptive, core.Options{Factor: workloads.Test}, 42)
 	if k1.Digest == k2.Digest {
 		t.Fatal("ghb and grp-adaptive cells share a content address")
-	}
-}
-
-// TestLegacyEngineSplitsKey pins that the retained legacy engine gets its
-// own cache identity: cycle-exact twins or not, a legacy-engine run and a
-// new-engine run are different code and must never share a cell.
-func TestLegacyEngineSplitsKey(t *testing.T) {
-	base := core.Options{Factor: workloads.Test}
-	legacy := base
-	legacy.LegacyEngine = true
-	k1 := cellKey("mcf", core.GRPVar, base, 42)
-	k2 := cellKey("mcf", core.GRPVar, legacy, 42)
-	if k1.Digest == k2.Digest {
-		t.Fatal("LegacyEngine does not split the cell key")
 	}
 }
 

@@ -87,6 +87,9 @@ func TestCheckAttribDetectsDisagreement(t *testing.T) {
 			c.Attrib.Counts.Late++
 			c.Attrib.Counts.Useful--
 		}},
+		// Every conformance cell attaches the ledger, so a cell without a
+		// summary lost it.
+		{"missing summary", func(c *core.Result) { c.Attrib = nil }},
 	}
 	for _, tc := range corruptions {
 		cp := *r

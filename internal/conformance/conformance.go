@@ -77,15 +77,6 @@ type Config struct {
 	// known-bad self-test: with a corrupting tamperer the harness must
 	// report failures.
 	Tamper func(m *mem.Memory, block uint64)
-	// TimingCheck reruns every clean (fault-free) realistic-scheme cell on
-	// the retained legacy engine (core.Options.LegacyEngine) and demands
-	// that every Result field but the attribution summary equal the timing
-	// engine's, which runs the cell as a one-core system. It is the
-	// timing referee of the one engine: architectural digests alone would
-	// let a timing regression slip through, since prefetching only
-	// perturbs timing. Failures carry the kind "timing-divergence" and
-	// name the first divergent field. Roughly doubles campaign cost.
-	TimingCheck bool
 	// Progress, when non-nil, is called after each checked program with
 	// the completion count, total, and failures so far. Serialized.
 	Progress func(done, total, failed int)
@@ -113,7 +104,7 @@ type Failure struct {
 	Seed    int64
 	Scheme  core.Scheme
 	Variant string // "" for the fault-free pass
-	Kind    string // run-error, no-halt, oracle-divergence, scheme-divergence, metric, attrib, cycle-bound, ideal-port, idle-corunner, timing-divergence
+	Kind    string // run-error, no-halt, oracle-divergence, scheme-divergence, metric, attrib, cycle-bound, ideal-port, idle-corunner
 	Detail  string
 }
 
@@ -371,9 +362,6 @@ func CheckWorkload(cfg Config, seed int64, w *progen.Workload) *ProgramReport {
 					fail(sc, "", "idle-corunner", "core 0 beside an idle core vs solo; first divergent field: "+diffs[0])
 				}
 			}
-			if cfg.TimingCheck && v.Plan == nil {
-				checkTiming(cfg, spec, r, pr, fail, sc)
-			}
 		}
 	}
 	// Coverage against the no-prefetch baseline: structurally bounded above
@@ -388,27 +376,6 @@ func CheckWorkload(cfg Config, seed int64, w *progen.Workload) *ProgramReport {
 		}
 	}
 	return pr
-}
-
-// checkTiming reruns one clean cell on the legacy engine and asserts the
-// two engines are twins: every Result field but the attribution summary
-// agrees (see DiffResults). Any difference is a bug in the timing engine
-// (or a behavioral drift in the retained legacy copy).
-func checkTiming(cfg Config, spec *workloads.Spec, r *core.Result, pr *ProgramReport, fail func(core.Scheme, string, string, string), sc core.Scheme) {
-	opt := cloneOptions(cfg.Base)
-	opt.CheckInvariants = true
-	opt.TamperPrefetchFill = cfg.Tamper
-	opt.LegacyEngine = true
-	pr.Cells++
-	lr, err := core.Run(spec, sc, opt)
-	if err != nil {
-		fail(sc, "legacy", "run-error", err.Error())
-		return
-	}
-	if diffs := DiffResults(r, lr); len(diffs) > 0 {
-		fail(sc, "legacy", "timing-divergence",
-			fmt.Sprintf("engine vs legacy engine; first divergent field: %s", diffs[0]))
-	}
 }
 
 // checkMetrics asserts the metric sanity invariants on one cell.
@@ -433,11 +400,12 @@ func checkMetrics(r, perfect *core.Result, fail func(core.Scheme, string, string
 // checkAttrib reconciles the attribution ledger's summary with the
 // counter-based metrics the rest of the report is built from. The ledger
 // is an independent second bookkeeping of the same prefetch lifecycle, so
-// any disagreement is a bug in one of the two. The legacy engine carries
-// no ledger (r.Attrib == nil) and is exempt.
+// any disagreement is a bug in one of the two. Every cell runs with the
+// ledger attached, so a missing summary is a failure too.
 func checkAttrib(r *core.Result, fail func(core.Scheme, string, string, string), sc core.Scheme, variant string) {
 	s := r.Attrib
 	if s == nil {
+		fail(sc, variant, "attrib", "no attribution summary from a cell run with the ledger attached")
 		return
 	}
 	if err := s.CheckConservation(); err != nil {

@@ -19,8 +19,7 @@ import (
 // run's architectural and memory digests, never runs faster than solo,
 // and keeps every shared-fabric invariant (including the arbiter's
 // starvation bound) intact. Solo runs are one-core co-runs of the same
-// engine, so the single-core engine's referee is the legacy timing check
-// (Config.TimingCheck), not this battery.
+// engine; its timing referees are the relations of referee.go.
 
 // CoRunConfig parameterizes a co-run conformance campaign.
 type CoRunConfig struct {
@@ -201,8 +200,8 @@ func CheckCoRunSeed(cfg CoRunConfig, seed int64) *CoRunProgramReport {
 
 // DiffResults compares two Results field by field and returns the
 // divergent fields in declaration order, each with both values (empty =
-// identical). The attribution summary and the co-run context are
-// excluded: the legacy engine, the check's other side, carries neither.
+// identical). The co-run context is excluded, so a co-run core compares
+// with its solo run.
 func DiffResults(a, b *core.Result) []string {
 	var out []string
 	add := func(name string, x, y interface{}) {
@@ -224,5 +223,6 @@ func DiffResults(a, b *core.Result) []string {
 	add("arch_digest", fmt.Sprintf("%016x", a.ArchDigest), fmt.Sprintf("%016x", b.ArchDigest))
 	add("mem_digest", fmt.Sprintf("%016x", a.MemDigest), fmt.Sprintf("%016x", b.MemDigest))
 	add("fault_counts", a.FaultCounts, b.FaultCounts)
+	add("attrib", a.Attrib, b.Attrib)
 	return out
 }

@@ -134,8 +134,7 @@ type Options struct {
 	// Attrib attaches the prefetch lifecycle attribution ledger: every
 	// issued prefetch is followed to a terminal outcome class and the
 	// digest lands in Result.Attrib. Run fails if the ledger's
-	// conservation invariant does not hold at drain. Ignored by the
-	// legacy engine (Result.Attrib stays nil).
+	// conservation invariant does not hold at drain.
 	Attrib bool
 	// Faults, when non-nil and active, arms deterministic fault injection
 	// across the hierarchy (see internal/faults); in a co-run one injector
@@ -158,14 +157,6 @@ type Options struct {
 	// check must catch). Never set outside tests; runs with it set bypass
 	// the campaign result cache's semantics, so the cache key records it.
 	TamperPrefetchFill func(m *mem.Memory, block uint64)
-	// LegacyEngine runs the pre-overhaul hot path: sim.LegacyMemSystem
-	// (container/heap arrival queue, map-backed in-flight table) and the
-	// map-based CPU slot tables, run by runCores as a one-core system. It matches the one timing engine on every Result
-	// field but Attrib and exists only as that engine's referee: the
-	// golden snapshots' provenance, the conformance timing check, and the
-	// hot-path speedup benchmark baseline. Rejected for co-runs of two or
-	// more cores.
-	LegacyEngine bool
 	// Cancel, when non-nil, is polled from the CPU commit loop (every few
 	// thousand instructions); a non-nil return aborts the run with that
 	// error. The campaign engine wires a context's Err here for per-cell
@@ -249,7 +240,7 @@ type Result struct {
 	// a co-run it is the shared injector's total, the same on every core.
 	FaultCounts faults.Counts
 	// Attrib is the prefetch lifecycle attribution digest (nil unless
-	// Options.Attrib was set on the current engine).
+	// Options.Attrib was set).
 	Attrib *attrib.Summary `json:",omitempty"`
 	// CoRun is the cross-core context of a co-run cell (nil on solo runs).
 	CoRun *CoRunInfo `json:",omitempty"`
@@ -278,29 +269,6 @@ func Run(spec *workloads.Spec, scheme Scheme, opt Options) (*Result, error) {
 		return nil, err
 	}
 	return rs[0], nil
-}
-
-// memSystem is the memory system runCores drives: the timing engine
-// (*sim.CoRunSystem), or the legacy referee (*sim.LegacyMemSystem) as a
-// one-core system.
-type memSystem interface {
-	SetPrioritizer(on bool)
-	SetFaults(inj *faults.Injector)
-	SetWatchdog(cfg sim.WatchdogConfig) *sim.Watchdog
-	EnableInvariantChecks(every uint64)
-	SetFillTamper(fn func(block uint64))
-	AttachTelemetry(reg *metrics.Registry, smp *metrics.Sampler, tl *trace.Timeline)
-	Drain()
-	FaultCounts() faults.Counts
-}
-
-// corePort is one core's endpoint into a memSystem: a *sim.CorePort, or
-// the legacy system itself.
-type corePort interface {
-	cpu.MemoryTiming
-	AttachLedger(l *attrib.Ledger)
-	Stats() sim.MemStats
-	Hierarchy() (l1, l2 *cache.Cache, dc *dram.Controller)
 }
 
 // runCores runs solo and co-run cells alike. It builds one
@@ -334,7 +302,7 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 		m      *mem.Memory
 		prog   *isa.Program
 		engine prefetch.Engine
-		port   corePort
+		port   *sim.CorePort
 		ledger *attrib.Ledger
 		core   *cpu.Core
 		thread *cpu.Thread
@@ -379,23 +347,12 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 		memCfg.OpenPageFirst = true
 	}
 
-	var ms memSystem
-	var cs *sim.CoRunSystem
-	if opt.LegacyEngine {
-		lms, err := sim.NewLegacyMemSystem(memCfg, engines[0])
-		if err != nil {
-			return nil, fmt.Errorf("core: building memory system: %w", err)
-		}
-		ms, states[0].port = lms, lms
-	} else {
-		var err error
-		if cs, err = sim.NewCoRunSystem(memCfg, engines); err != nil {
-			return nil, fmt.Errorf("core: building memory system: %w", err)
-		}
-		ms = cs
-		for i := range states {
-			states[i].port = cs.Port(i)
-		}
+	ms, err := sim.NewCoRunSystem(memCfg, engines)
+	if err != nil {
+		return nil, fmt.Errorf("core: building memory system: %w", err)
+	}
+	for i := range states {
+		states[i].port = ms.Port(i)
 	}
 	if opt.DisablePrioritizer {
 		ms.SetPrioritizer(false)
@@ -432,7 +389,7 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 
 	for i := range states {
 		st := &states[i]
-		if opt.Attrib && !opt.LegacyEngine {
+		if opt.Attrib {
 			st.ledger = attrib.NewLedger()
 			st.port.AttachLedger(st.ledger)
 		}
@@ -440,7 +397,6 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 		if opt.CPU != nil {
 			cpuCfg = *opt.CPU
 		}
-		cpuCfg.LegacyScheduler = opt.LegacyEngine
 		cpuCfg.MaxInstrs = st.maxInstrs
 		if opt.MaxInstrs != 0 {
 			cpuCfg.MaxInstrs = opt.MaxInstrs
@@ -469,7 +425,7 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 	// Watchdog and invariant aborts surface from deep inside the timing
 	// pump as typed panics; convert them back into errors here.
 	failed := -1 // the core whose Start or Step failed
-	err := func() (err error) {
+	err = func() (err error) {
 		defer sim.RecoverAbort(&err)
 		for i := range states {
 			t, serr := states[i].core.Start(states[i].prog)
@@ -561,9 +517,7 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 				Benches:         append([]string(nil), benches...),
 				AggTrafficBytes: dc.TrafficBytes(),
 			}
-			if cs != nil {
-				r.CoRun.PollutionCaused, r.CoRun.PollutionSuffered = cs.Port(i).Pollution()
-			}
+			r.CoRun.PollutionCaused, r.CoRun.PollutionSuffered = st.port.Pollution()
 		}
 		results[i] = r
 	}

@@ -47,8 +47,8 @@ type CoRunResult struct {
 }
 
 // validateCoRun rejects option combinations a co-run of n cores does not
-// support. Telemetry, timelines, the legacy engine and the fill tamper
-// hook describe a single core, so they need n = 1; everything else
+// support. Telemetry, timelines and the fill tamper hook describe a
+// single core, so they need n = 1; everything else
 // (ablations, fault injection, attribution, invariant checking, watchdog,
 // cancellation) carries over.
 func validateCoRun(opt Options, n int) error {
@@ -60,8 +60,6 @@ func validateCoRun(opt Options, n int) error {
 		return fmt.Errorf("core: co-run does not support the telemetry layer")
 	case opt.Timeline != nil:
 		return fmt.Errorf("core: co-run does not support timeline capture")
-	case opt.LegacyEngine:
-		return fmt.Errorf("core: co-run does not support the legacy engine")
 	case opt.TamperPrefetchFill != nil:
 		return fmt.Errorf("core: co-run does not support the fill tamper hook")
 	}

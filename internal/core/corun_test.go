@@ -172,7 +172,6 @@ func TestCoRunRejectsUnsupportedOptions(t *testing.T) {
 		want string
 	}{
 		{"metrics", Options{Factor: workloads.Test, Metrics: true}, "telemetry"},
-		{"legacy", Options{Factor: workloads.Test, LegacyEngine: true}, "legacy engine"},
 	}
 	for _, tc := range cases {
 		_, err := RunCoRun([]string{"mcf", "art"}, GRPVar, tc.opt)

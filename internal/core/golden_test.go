@@ -23,18 +23,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "regenerate golden snapshot testdata")
 
-// goldenOptions returns the run options for golden cells. With
-// GRP_GOLDEN_ENGINE=legacy the cells run on the retained pre-overhaul
-// engine: regenerating with it and verifying without it proves the two
-// engines byte-identical over the whole grid (the committed snapshots
-// were produced that way).
-func goldenOptions() Options {
-	opt := Options{Factor: workloads.Test}
-	if os.Getenv("GRP_GOLDEN_ENGINE") == "legacy" {
-		opt.LegacyEngine = true
-	}
-	return opt
-}
+// goldenOptions returns the run options for golden cells.
+func goldenOptions() Options { return Options{Factor: workloads.Test} }
 
 // goldenSchemes is the snapshot grid's scheme axis: the realistic schemes
 // whose timing the paper's tables compare (perfect caches are covered by

@@ -93,11 +93,6 @@ type Config struct {
 	// (run to HALT).
 	MaxInstrs uint64
 
-	// LegacyScheduler selects the pre-overhaul map-based slot tables
-	// instead of the byte rings. Cycle-identical by construction; kept
-	// only as the reference engine behind core.Options.LegacyEngine.
-	LegacyScheduler bool
-
 	// Cancel, when non-nil, is polled every few thousand instructions; a
 	// non-nil return aborts the run with that error. It carries deadline
 	// and shutdown signals into a simulation whose natural unit of
@@ -255,29 +250,16 @@ const slotWindow = 1 << 12
 // those. The count for a cycle lives in exactly one place: the ring iff
 // the cycle is inside the window, otherwise the spill map. Probes beyond
 // the window go to the spill map, which stays empty in practice.
-//
-// The pre-overhaul sparse map lives on behind legacy for the reference
-// engine; both representations reserve identical cycles.
 type slotTable struct {
 	limit uint8
 
 	ring  []uint8 // per-cycle counts, indexed by cycle & (slotWindow-1)
 	base  uint64  // fetch frontier: cycles ≤ base are dead
 	spill map[uint64]uint8
-
-	legacy bool
-	counts map[uint64]uint8
 }
 
-func newSlotTable(limit int, legacy bool) *slotTable {
-	s := &slotTable{limit: uint8(limit), legacy: legacy}
-	if legacy {
-		s.counts = make(map[uint64]uint8)
-	} else {
-		s.ring = make([]uint8, slotWindow)
-		s.spill = make(map[uint64]uint8)
-	}
-	return s
+func newSlotTable(limit int) *slotTable {
+	return &slotTable{limit: uint8(limit), ring: make([]uint8, slotWindow), spill: make(map[uint64]uint8)}
 }
 
 // inWindow reports whether cycle c's count lives in the ring.
@@ -339,18 +321,6 @@ func (s *slotTable) claim(c uint64) {
 // caller's fetch cycle: every probe, now and in the future, is strictly
 // above it, which is what lets advance retire older cycles.
 func (s *slotTable) reserveWith(at, frontier uint64, other *slotTable) uint64 {
-	if s.legacy {
-		for {
-			if s.counts[at] < s.limit && (other == nil || other.counts[at] < other.limit) {
-				s.counts[at]++
-				if other != nil {
-					other.counts[at]++
-				}
-				return at
-			}
-			at++
-		}
-	}
 	if frontier > s.base {
 		s.advance(frontier)
 	}
@@ -387,20 +357,9 @@ func (s *slotTable) reserveWith(at, frontier uint64, other *slotTable) uint64 {
 	}
 }
 
+// pruneBelow drops spilled counts for cycles below c; the ring retires
+// its own cycles.
 func (s *slotTable) pruneBelow(c uint64) {
-	if s.legacy {
-		if len(s.counts) < 1<<15 {
-			return
-		}
-		for k := range s.counts {
-			if k < c {
-				delete(s.counts, k)
-			}
-		}
-		return
-	}
-	// The ring retires its own cycles; only dead spill entries need
-	// sweeping.
 	for k := range s.spill {
 		if k < c {
 			delete(s.spill, k)
@@ -567,8 +526,8 @@ func (c *Core) Start(p *isa.Program) (*Thread, error) {
 		p:            p,
 		code:         code,
 		robCommit:    make([]uint64, c.cfg.ROBSize),
-		issueSlots:   newSlotTable(c.cfg.IssueWidth, c.cfg.LegacyScheduler),
-		memSlots:     newSlotTable(c.cfg.MemPorts, c.cfg.LegacyScheduler),
+		issueSlots:   newSlotTable(c.cfg.IssueWidth),
+		memSlots:     newSlotTable(c.cfg.MemPorts),
 		fetchCycle:   1,
 		recentStores: make([]pendStore, c.cfg.ROBSize),
 		checkGap:     ^uint64(0),

@@ -8,7 +8,7 @@ import (
 
 // TestDecodeMatchesISA: every opcode from OpNop to OpHalt decodes to what
 // isa.Instr's own predicates and opLatency say, so an opcode added to the
-// ISA that decode does not classify fails here. The legacy referee runs
+// ISA that decode does not classify fails here. Every timing referee runs
 // through Step too, so this table, not a timing comparison, is what keeps
 // decoding honest. The operand values are distinct and wide so a field
 // that decode drops, swaps or narrows shows.

@@ -5,8 +5,33 @@ import (
 	"testing"
 )
 
+// mapSlotTable is the reference the byte ring replaced: a sparse map of
+// per-cycle reservation counts, which keeps every cycle it ever reserved.
+type mapSlotTable struct {
+	limit  uint8
+	counts map[uint64]uint8
+}
+
+func newMapSlotTable(limit int) *mapSlotTable {
+	return &mapSlotTable{limit: uint8(limit), counts: make(map[uint64]uint8)}
+}
+
+// reserveWith claims the first cycle >= at with a free slot in both s
+// and (when other != nil) other.
+func (s *mapSlotTable) reserveWith(at uint64, other *mapSlotTable) uint64 {
+	for ; ; at++ {
+		if s.counts[at] < s.limit && (other == nil || other.counts[at] < other.limit) {
+			s.counts[at]++
+			if other != nil {
+				other.counts[at]++
+			}
+			return at
+		}
+	}
+}
+
 // TestSlotRingMatchesLegacyPastWindow drives the ring slotTable and the
-// legacy map table through the same reserveWith sequences, with probes
+// reference map table through the same reserveWith sequences, with probes
 // from 1 to 4×slotWindow cycles above a monotone fetch frontier, so most
 // land beyond the ring and spill, and with and without a second table.
 // A slow frontier puts several probes on each cycle, so cycles that
@@ -17,10 +42,11 @@ func TestSlotRingMatchesLegacyPastWindow(t *testing.T) {
 		for _, paired := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(seed))
 			limit, otherLimit := 1+rng.Intn(3), 1+rng.Intn(2)
-			ring, leg := newSlotTable(limit, false), newSlotTable(limit, true)
-			var ringOther, legOther *slotTable
+			ring, ref := newSlotTable(limit), newMapSlotTable(limit)
+			var ringOther *slotTable
+			var refOther *mapSlotTable
 			if paired {
-				ringOther, legOther = newSlotTable(otherLimit, false), newSlotTable(otherLimit, true)
+				ringOther, refOther = newSlotTable(otherLimit), newMapSlotTable(otherLimit)
 			}
 			spilled := 0
 			frontier := uint64(1)
@@ -33,9 +59,9 @@ func TestSlotRingMatchesLegacyPastWindow(t *testing.T) {
 				}
 				at := frontier + 1 + uint64(rng.Int63n(4*slotWindow))
 				got := ring.reserveWith(at, frontier, ringOther)
-				want := leg.reserveWith(at, frontier, legOther)
+				want := ref.reserveWith(at, refOther)
 				if got != want {
-					t.Fatalf("seed %d paired=%v probe %d at %d (frontier %d): ring reserved %d, legacy %d",
+					t.Fatalf("seed %d paired=%v probe %d at %d (frontier %d): ring reserved %d, map %d",
 						seed, paired, k, at, frontier, got, want)
 				}
 				if len(ring.spill) > spilled {
@@ -43,7 +69,6 @@ func TestSlotRingMatchesLegacyPastWindow(t *testing.T) {
 				}
 				if k%4096 == 4095 {
 					ring.pruneBelow(frontier)
-					leg.pruneBelow(frontier)
 				}
 			}
 			if spilled == 0 {
@@ -60,7 +85,7 @@ func TestSlotRingMatchesLegacyPastWindow(t *testing.T) {
 // edge of the window after the jump, leaving the edge cycle itself free.
 // After the jump every cycle that entered the window, and a few past its
 // top, is probed to its limit, and after that the frontier creeps on.
-// The ring must reserve what the legacy map table reserves: a slot left
+// The ring must reserve what the reference map table reserves: a slot left
 // uncleared by the jump shows as a full cycle at the new window's top.
 func TestSlotRingJumps(t *testing.T) {
 	jumps := []uint64{1, 7, 100, slotWindow / 2, slotWindow - 1, slotWindow, slotWindow + 1,
@@ -68,19 +93,20 @@ func TestSlotRingJumps(t *testing.T) {
 	for _, jump := range jumps {
 		for _, paired := range []bool{false, true} {
 			for _, start := range []uint64{1, slotWindow - 3} {
-				ring, leg := newSlotTable(2, false), newSlotTable(2, true)
-				var ringOther, legOther *slotTable
+				ring, ref := newSlotTable(2), newMapSlotTable(2)
+				var ringOther *slotTable
+				var refOther *mapSlotTable
 				perCycle := 2 // probes that fill a cycle
 				if paired {
-					ringOther, legOther = newSlotTable(1, false), newSlotTable(1, true)
+					ringOther, refOther = newSlotTable(1), newMapSlotTable(1)
 					perCycle = 1
 				}
 				probe := func(at, frontier uint64) {
 					t.Helper()
 					got := ring.reserveWith(at, frontier, ringOther)
-					want := leg.reserveWith(at, frontier, legOther)
+					want := ref.reserveWith(at, refOther)
 					if got != want {
-						t.Fatalf("jump %d paired=%v start %d: probe at %d (frontier %d): ring reserved %d, legacy %d",
+						t.Fatalf("jump %d paired=%v start %d: probe at %d (frontier %d): ring reserved %d, map %d",
 							jump, paired, start, at, frontier, got, want)
 					}
 				}

@@ -8,6 +8,28 @@ import (
 	"grp/internal/prefetch"
 )
 
+// arrivalHeap is the reference arrival queue the sorted array replaced:
+// a container/heap of in-flight lines ordered by (doneAt, seq).
+type arrivalHeap []*inflightLine
+
+func (h arrivalHeap) Len() int { return len(h) }
+func (h arrivalHeap) Less(i, j int) bool {
+	if h[i].doneAt != h[j].doneAt {
+		return h[i].doneAt < h[j].doneAt
+	}
+	return h[i].seq < h[j].seq
+}
+func (h arrivalHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *arrivalHeap) Push(x interface{}) { *h = append(*h, x.(*inflightLine)) }
+func (h *arrivalHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return x
+}
+
 // orderEngine records the order in which arrivals drain.
 type orderEngine struct {
 	prefetch.Null
@@ -98,8 +120,8 @@ func TestArrivalFIFOTieBreak(t *testing.T) {
 	}
 }
 
-// TestArrivalHeapTieBreak pins the legacy heap ordering itself: Less must
-// order equal doneAt entries by sequence number.
+// TestArrivalHeapTieBreak pins the reference heap's ordering itself: Less
+// must order equal doneAt entries by sequence number.
 func TestArrivalHeapTieBreak(t *testing.T) {
 	var h arrivalHeap
 	lines := []*inflightLine{
@@ -122,7 +144,7 @@ func TestArrivalHeapTieBreak(t *testing.T) {
 }
 
 // TestArrivalQueueMatchesHeap drives the sorted arrival array and the
-// legacy arrivalHeap through the same seeded insert/drain sequences, with
+// reference arrivalHeap through the same seeded insert/drain sequences, with
 // the monotone seq addInflight assigns, arrival times drawn from a few
 // cycles so that many lines tie, and bursts of up to 512 queued lines
 // between stretches near the few dozen that real cells hold. Both must

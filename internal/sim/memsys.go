@@ -7,8 +7,14 @@
 // private L1, prefetch engine and L2 MSHR partition behind its CorePort,
 // over one shared L2 and DRAM controller. A single-core run is the
 // one-core case, and MemSystem is that system seen through its only port.
-// LegacyMemSystem is a frozen pre-overhaul copy of the single-core
-// engine, kept only as a timing referee (see legacy.go).
+//
+// No second engine referees its timing. Relations do, each with a
+// known-bad self-test: under a perfect L2 a core must take the cycles it
+// takes over an ideal port (a private L1 with fixed hit latencies), a
+// core beside an idle co-runner must match its solo run, and a prefetch
+// engine that observes everything but never issues must match none (see
+// internal/conformance and internal/core). The golden and whole-Result
+// snapshots pin the rest.
 package sim
 
 import (

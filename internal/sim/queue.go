@@ -2,11 +2,11 @@ package sim
 
 // This file holds the arrival machinery: a slab pool of in-flight lines
 // addressed by index, and the arrival queue, a sorted array ordered by
-// (doneAt, seq) that replaces the container/heap arrivalHeap. Both are
-// allocation-free in steady state — the pool recycles slots and the
-// array keeps its capacity — and the queue orders arrivals by the
-// explicit (doneAt, seq) key, so drain order is identical to the legacy
-// heap by construction (see arrival_order_test.go).
+// (doneAt, seq). Both are allocation-free in steady state — the pool
+// recycles slots and the array keeps its capacity — and the queue orders
+// arrivals by the explicit (doneAt, seq) key, so drain order is a
+// container/heap's on the same key by construction (arrival_order_test.go
+// keeps that heap as the reference).
 
 // linePool is a slab allocator for inflightLine records. Lines are
 // referred to by index rather than pointer: indices stay valid across the

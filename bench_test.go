@@ -1,217 +1,33 @@
-// Package grp's benchmark harness regenerates every table and figure of
-// the paper's evaluation section (see DESIGN.md's per-experiment index):
+// Package grp's root benchmarks measure the design choices DESIGN.md
+// calls out: each ablation runs one benchmark with and without a knob and
+// reports the cycle and traffic ratios, and the software-prefetching
+// extension compares the paper's Section 2 foil against GRP:
 //
-//	go test -bench=. -benchmem
+//	go test -bench 'Ablation|Extension' -run '^$' .
 //
-// Each BenchmarkTableN / BenchmarkFigureN runs the simulations behind the
-// corresponding exhibit and prints the rendered table once; headline
-// numbers are also attached as custom benchmark metrics. The ablation
-// benchmarks cover the design choices DESIGN.md calls out.
+// The paper's tables and figures are printed by cmd/grptables, and
+// simulator throughput is measured by perfbench.
 //
 // Set GRP_BENCH_FACTOR=small (or full) for larger working sets; the
-// default "test" scale keeps the whole harness to a couple of minutes.
+// default "test" scale keeps each benchmark to seconds.
 package grp
 
 import (
 	"fmt"
 	"os"
-	"sync"
 	"testing"
 
-	"grp/internal/campaign"
 	"grp/internal/core"
-	"grp/internal/stats"
 	"grp/internal/workloads"
 )
 
+// benchFactor reads GRP_BENCH_FACTOR; unset or unknown means test.
 func benchFactor() workloads.Factor {
-	switch os.Getenv("GRP_BENCH_FACTOR") {
-	case "small":
-		return workloads.Small
-	case "full":
-		return workloads.Full
-	default:
+	f, err := workloads.ParseFactor(os.Getenv("GRP_BENCH_FACTOR"))
+	if err != nil {
 		return workloads.Test
 	}
-}
-
-var (
-	suiteOnce sync.Once
-	suite     *core.Suite
-	suiteErr  error
-)
-
-// benchSuite simulates the full benchmark matrix once and shares it across
-// all table/figure benchmarks. It runs through the campaign engine (whose
-// reduced suite is byte-identical to serial core.RunSuite) so the shared
-// matrix fills at worker-pool speed.
-func benchSuite(b *testing.B) *core.Suite {
-	b.Helper()
-	suiteOnce.Do(func() {
-		suite, suiteErr = campaign.RunSuite(nil, nil,
-			core.Options{Factor: benchFactor()}, campaign.Config{})
-	})
-	if suiteErr != nil {
-		b.Fatal(suiteErr)
-	}
-	return suite
-}
-
-// printOnce prints the rendered exhibit on the first iteration only.
-var printed sync.Map
-
-func printOnce(key, out string) {
-	if _, loaded := printed.LoadOrStore(key, true); !loaded {
-		fmt.Printf("\n%s\n", out)
-	}
-}
-
-func BenchmarkFigure1(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		tb, err := s.Figure1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("fig1", tb.String())
-	}
-}
-
-func BenchmarkTable1(b *testing.B) {
-	s := benchSuite(b)
-	var rows []core.Table1Row
-	for i := 0; i < b.N; i++ {
-		var tb *stats.Table
-		var err error
-		rows, tb, err = s.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("t1", tb.String())
-	}
-	for _, r := range rows {
-		switch r.Scheme {
-		case core.SRP:
-			b.ReportMetric(r.Speedup, "srp-speedup")
-			b.ReportMetric(r.TrafficIncrease, "srp-traffic")
-		case core.GRPVar:
-			b.ReportMetric(r.Speedup, "grp-speedup")
-			b.ReportMetric(r.TrafficIncrease, "grp-traffic")
-		}
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		tb, err := s.Table3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("t3", tb.String())
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		tb, err := s.Figure9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("fig9", tb.String())
-	}
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		tb, err := s.Figure10()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("fig10", tb.String())
-	}
-}
-
-func BenchmarkFigure11(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		tb, err := s.Figure11()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("fig11", tb.String())
-	}
-}
-
-func BenchmarkTable4(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		tb, err := s.Table4(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("t4", tb.String())
-	}
-	// Flagship ratio: mesa fixed-region traffic over variable-region.
-	base := s.Get("mesa", core.NoPrefetch)
-	vr := s.Get("mesa", core.GRPVar)
-	fx := s.Get("mesa", core.GRPFix)
-	if base != nil && vr != nil && fx != nil {
-		b.ReportMetric(core.TrafficIncrease(fx, base)/core.TrafficIncrease(vr, base), "mesa-fix/var-traffic")
-	}
-}
-
-func BenchmarkFigure12(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		tb, err := s.Figure12()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("fig12", tb.String())
-	}
-}
-
-func BenchmarkTable5(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		tb, err := s.Table5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("t5", tb.String())
-	}
-}
-
-func BenchmarkTable6(b *testing.B) {
-	s := benchSuite(b)
-	for i := 0; i < b.N; i++ {
-		tb, err := s.Table6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("t6", tb.String())
-	}
-}
-
-func BenchmarkSensitivity(b *testing.B) {
-	// Section 5.4: the compiler-policy sweep resimulates per policy, so it
-	// runs on a representative subset.
-	benches := []string{"swim", "apsi", "art", "equake"}
-	for i := 0; i < b.N; i++ {
-		rows, tb, err := core.RunSensitivity(benches, core.Options{Factor: benchFactor()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("sens", tb.String())
-		for _, r := range rows {
-			if i == 0 {
-				b.ReportMetric(r.Speedup, r.Policy+"-speedup")
-			}
-		}
-	}
+	return f
 }
 
 // --- ablations (DESIGN.md Section 4) --------------------------------------
@@ -349,43 +165,4 @@ func BenchmarkExtensionSoftwarePrefetch(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed (simulated
-// instructions per second), the engineering metric for the simulator
-// itself.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	spec, err := workloads.ByName("wupwise")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := core.Options{Factor: benchFactor()}
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		r, err := core.Run(spec, core.GRPVar, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs += r.CPU.Instrs
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
-}
-
-// BenchmarkSimulatorThroughputTelemetry is the same run with the metrics
-// registry and sampler attached, bounding the cost of observability.
-func BenchmarkSimulatorThroughputTelemetry(b *testing.B) {
-	spec, err := workloads.ByName("wupwise")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := core.Options{Factor: benchFactor(), Metrics: true}
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		r, err := core.Run(spec, core.GRPVar, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs += r.CPU.Instrs
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
 }

@@ -4,6 +4,7 @@
 // Usage:
 //
 //	grpsim -bench mcf -scheme grp/var [-factor full] [-policy default]
+//	grpsim -hints -bench mcf|all [-factor full] [-policy default]
 //
 // Telemetry: -metrics collects the run's counter/gauge/histogram registry
 // and cycle-sampled time series (latency percentiles join the report);
@@ -19,11 +20,19 @@
 // internal/faults for the spec grammar; presets light, heavy, chaos) and
 // -check-invariants audits the memory hierarchy as it runs. Faults perturb
 // timing only — architectural results are identical to a fault-free run.
+//
+// Hints: -hints compiles -bench at -factor and -policy without simulating
+// and prints the compiler's analysis (the hint of each memory reference),
+// the static hint census and the annotated assembly; with -bench all it
+// prints the census of every benchmark as one table.
+//
+// A bad flag value exits 2 before any work starts; a failed run exits 1.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +46,9 @@ import (
 	"grp/internal/compiler"
 	"grp/internal/core"
 	"grp/internal/faults"
+	"grp/internal/isa"
+	"grp/internal/mem"
+	"grp/internal/stats"
 	"grp/internal/trace"
 	"grp/internal/workloads"
 )
@@ -45,7 +57,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("grpsim: ")
 	var (
-		bench      = flag.String("bench", "wupwise", "benchmark name ("+strings.Join(workloads.Names(), ", ")+")")
+		bench      = flag.String("bench", "wupwise", "benchmark name ("+strings.Join(workloads.Names(), ", ")+"; all with -hints)")
 		scheme     = flag.String("scheme", "grp/var", "scheme (base, perfectL1, perfectL2, stride, ghb, srp, grp/fix, grp/var, grp-adaptive, ptr, swpf)")
 		factor     = flag.String("factor", "small", "workload scale: test, small, full")
 		policy     = flag.String("policy", "default", "compiler spatial policy: default, conservative, aggressive")
@@ -62,30 +74,44 @@ func main() {
 		jobs       = flag.Int("jobs", 0, "simulation worker goroutines (default GOMAXPROCS; matters with -compare)")
 		cacheOn    = flag.Bool("cache", false, "reuse unchanged simulations from the result cache")
 		cacheDir   = flag.String("cache-dir", campaign.DefaultCacheDir, "result cache directory")
+		hints      = flag.Bool("hints", false, "print the compiler's hints and annotated assembly for -bench instead of simulating")
 	)
 	flag.Parse()
 
-	// Validate everything up front: a bad flag must be a clear error and a
-	// non-zero exit before the run starts, not a mid-run panic or a
-	// simulation wasted on an unwritable output path.
+	// Validate everything up front: a bad flag must be a clear error and
+	// exit 2 before the run starts, not a mid-run panic or a simulation
+	// wasted on an unwritable output path.
+	f, err := workloads.ParseFactor(*factor)
+	usageIf(err)
+	pol, err := compiler.ParsePolicy(*policy)
+	usageIf(err)
+	if *hints {
+		var simOnly []string
+		flag.Visit(func(fl *flag.Flag) {
+			switch fl.Name {
+			case "hints", "bench", "factor", "policy":
+			default:
+				simOnly = append(simOnly, "-"+fl.Name)
+			}
+		})
+		if len(simOnly) > 0 {
+			usageIf(fmt.Errorf("-hints does not combine with %s", strings.Join(simOnly, ", ")))
+		}
+		printHints(*bench, f, pol)
+		return
+	}
 	spec, err := workloads.ByName(*bench)
-	if err != nil {
-		log.Fatal(err)
-	}
+	usageIf(err)
 	sc, err := core.SchemeByName(*scheme)
-	if err != nil {
-		log.Fatal(err)
-	}
+	usageIf(err)
 	if *sampleInt <= 0 {
-		log.Fatalf("-sample-interval must be positive, got %d", *sampleInt)
+		usageIf(fmt.Errorf("-sample-interval must be positive, got %d", *sampleInt))
 	}
 	plan, err := faults.Parse(*faultSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
+	usageIf(err)
 	opt := core.Options{
-		Factor:          parseFactor(*factor),
-		Policy:          parsePolicy(*policy),
+		Factor:          f,
+		Policy:          pol,
 		Metrics:         *metricsOn || *metricsOut != "",
 		SampleInterval:  uint64(*sampleInt),
 		Attrib:          *attribOn || *attribOut != "",
@@ -94,9 +120,7 @@ func main() {
 	if plan.Active() {
 		opt.Faults = &plan
 	}
-	if err := opt.Validate(); err != nil {
-		log.Fatal(err)
-	}
+	usageIf(opt.Validate())
 	if *corun != "" {
 		// Co-run mode replaces the single-cell campaign path entirely:
 		// RunCoRun drives all cores over the shared fabric and the report
@@ -104,9 +128,19 @@ func main() {
 		// the engine rejects it with two or more; a fault plan arms one
 		// injector for the whole system.
 		if *compare || *cacheOn || *perfetto != "" {
-			log.Fatal("-corun does not combine with -compare, -cache, or -perfetto")
+			usageIf(errors.New("-corun does not combine with -compare, -cache, or -perfetto"))
 		}
-		runCoRun(spec.Name, *corun, sc, opt, openOut(*attribOut))
+		benches := []string{spec.Name}
+		for _, b := range strings.Split(*corun, ",") {
+			b = strings.TrimSpace(b)
+			if b == "" {
+				usageIf(fmt.Errorf("-corun: empty kernel in %q", *corun))
+			}
+			_, err := workloads.ByName(b)
+			usageIf(err)
+			benches = append(benches, b)
+		}
+		runCoRun(benches, sc, opt, openOut(*attribOut))
 		return
 	}
 	var tl *trace.Timeline
@@ -172,23 +206,12 @@ func main() {
 	}
 }
 
-// runCoRun is the -corun driver: simulate bench (core 0) plus the
-// comma-separated co-runners on one shared L2+DRAM, run each workload
-// solo for the slowdown reference, and print the per-core table. With
-// -attrib each core's lifecycle ledger joins the report (and -attrib-out
-// dumps the per-core summaries as a JSON array).
-func runCoRun(bench, list string, sc core.Scheme, opt core.Options, attribFile *os.File) {
-	benches := []string{bench}
-	for _, b := range strings.Split(list, ",") {
-		b = strings.TrimSpace(b)
-		if b == "" {
-			log.Fatalf("-corun: empty kernel in %q", list)
-		}
-		if _, err := workloads.ByName(b); err != nil {
-			log.Fatal(err)
-		}
-		benches = append(benches, b)
-	}
+// runCoRun is the -corun driver: simulate benches[0] (core 0) plus the
+// co-runners on one shared L2+DRAM, run each workload solo for the
+// slowdown reference, and print the per-core table. With -attrib each
+// core's lifecycle ledger joins the report (and -attrib-out dumps the
+// per-core summaries as a JSON array).
+func runCoRun(benches []string, sc core.Scheme, opt core.Options, attribFile *os.File) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	opt.Cancel = ctx.Err
@@ -254,32 +277,50 @@ func writeOut(f *os.File, write func(io.Writer) error) {
 	}
 }
 
-func parseFactor(s string) workloads.Factor {
-	switch s {
-	case "test":
-		return workloads.Test
-	case "small":
-		return workloads.Small
-	case "full":
-		return workloads.Full
-	default:
-		fmt.Fprintf(os.Stderr, "grpsim: unknown factor %q (want test, small, full)\n", s)
-		os.Exit(2)
-		return 0
+// printHints compiles bench (every benchmark for "all") and prints what
+// the compiler derived, without simulating.
+func printHints(bench string, f workloads.Factor, pol compiler.Policy) {
+	if bench == "all" {
+		printCensus(f, pol)
+		return
 	}
+	spec, err := workloads.ByName(bench)
+	usageIf(err)
+	prog, _, an, err := compiler.CompileWorkload(spec.Build(f).Prog, mem.New(), pol)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("benchmark %s (policy %s)\n\n", spec.Name, pol)
+	fmt.Printf("reference hints:\n%s\n", an.Describe())
+	h := prog.CountHints()
+	fmt.Printf("static census: %d mem instructions, %d spatial, %d pointer, %d recursive, %d indirect, %d variable-size (%.1f%% hinted)\n",
+		h.MemInsts, h.Spatial, h.Pointer, h.Recursive, h.Indirect, h.Variable, h.HintRatio())
+	fmt.Printf("\nassembly (%d instructions):\n%s", len(prog.Instrs), isa.Disassemble(prog))
 }
 
-func parsePolicy(s string) compiler.Policy {
-	switch s {
-	case "default":
-		return compiler.PolicyDefault
-	case "conservative":
-		return compiler.PolicyConservative
-	case "aggressive":
-		return compiler.PolicyAggressive
-	default:
-		fmt.Fprintf(os.Stderr, "grpsim: unknown policy %q\n", s)
+// printCensus compiles every benchmark and prints the static hint
+// population of each, one row per benchmark in presentation order.
+func printCensus(f workloads.Factor, pol compiler.Policy) {
+	t := &stats.Table{
+		Title:   fmt.Sprintf("static hint census (policy %s)", pol),
+		Headers: []string{"benchmark", "mem insts", "spatial", "pointer", "recursive", "indirect", "variable", "ratio(%)"},
+	}
+	for _, spec := range workloads.All() {
+		prog, _, _, err := compiler.CompileWorkload(spec.Build(f).Prog, mem.New(), pol)
+		if err != nil {
+			log.Fatal(err)
+		}
+		h := prog.CountHints()
+		t.Add(spec.Name, fmt.Sprint(h.MemInsts), fmt.Sprint(h.Spatial), fmt.Sprint(h.Pointer),
+			fmt.Sprint(h.Recursive), fmt.Sprint(h.Indirect), fmt.Sprint(h.Variable), stats.Fmt(h.HintRatio(), 1))
+	}
+	fmt.Print(t)
+}
+
+// usageIf exits 2, the flag package's usage status, on a bad flag value.
+func usageIf(err error) {
+	if err != nil {
+		log.Print(err)
 		os.Exit(2)
-		return 0
 	}
 }

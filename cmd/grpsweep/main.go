@@ -9,6 +9,9 @@
 //	    [-cache-dir .grpcache] [-format ascii|json|csv] [-out file] \
 //	    [-resume] [-keep-going] [-cell-timeout 10m] [-retries 3]
 //
+// A bad flag value, spec included, exits 2 before any cell runs; failed
+// cells exit 1, an interrupt 130 and a chaos kill 3.
+//
 // Cells complete in any order but reduce in canonical grid order, so the
 // artifact is byte-identical across -jobs settings and across warm/cold
 // cache runs; re-running an unchanged campaign is all cache hits and
@@ -71,15 +74,29 @@ func main() {
 		weight    = flag.Int("weight", 0, "scheduling weight 1..16 for -remote (default 1)")
 	)
 	flag.Parse()
+
+	// A bad flag value exits 2 before any file is written or cell runs.
 	if *spec == "" {
-		log.Fatal("-spec is required (see -h for the grammar)")
+		usageIf(errors.New("-spec is required (see -h for the grammar)"))
 	}
 	if *format != "ascii" && *format != "json" && *format != "csv" {
-		log.Fatalf("unknown format %q (want ascii, json, or csv)", *format)
+		usageIf(fmt.Errorf("unknown format %q (want ascii, json, or csv)", *format))
 	}
 	useCache := *cacheOn && !*noCache
 	if *resume && !useCache {
-		log.Fatal("-resume needs the result cache (it is what replays completed cells)")
+		usageIf(errors.New("-resume needs the result cache (it is what replays completed cells)"))
+	}
+	f, err := workloads.ParseFactor(*factor)
+	usageIf(err)
+	pol, err := compiler.ParsePolicy(*policy)
+	usageIf(err)
+	base := core.Options{Factor: f, Policy: pol}
+	grid, err := campaign.ParseSpec(*spec, base)
+	usageIf(err)
+	var chaos *campaign.Chaos
+	if *chaosSpec != "" {
+		chaos, err = campaign.ParseChaos(*chaosSpec)
+		usageIf(err)
 	}
 
 	// Open the artifact destination before doing anything expensive so a
@@ -111,17 +128,7 @@ func main() {
 		return
 	}
 
-	base := core.Options{Factor: parseFactor(*factor), Policy: parsePolicy(*policy)}
-	grid, err := campaign.ParseSpec(*spec, base)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var chaos *campaign.Chaos
-	if *chaosSpec != "" {
-		if chaos, err = campaign.ParseChaos(*chaosSpec); err != nil {
-			log.Fatal(err)
-		}
+	if chaos != nil {
 		log.Printf("CHAOS MODE: injecting %q", *chaosSpec)
 	}
 
@@ -259,28 +266,10 @@ func fatal(err error) {
 	}
 }
 
-func parseFactor(s string) workloads.Factor {
-	switch s {
-	case "test":
-		return workloads.Test
-	case "small":
-		return workloads.Small
-	case "full":
-		return workloads.Full
+// usageIf exits 2, the flag package's usage status, on a bad flag value.
+func usageIf(err error) {
+	if err != nil {
+		log.Print(err)
+		os.Exit(2)
 	}
-	log.Fatalf("unknown factor %q (want test, small, full)", s)
-	return 0
-}
-
-func parsePolicy(s string) compiler.Policy {
-	switch s {
-	case "default":
-		return compiler.PolicyDefault
-	case "conservative":
-		return compiler.PolicyConservative
-	case "aggressive":
-		return compiler.PolicyAggressive
-	}
-	log.Fatalf("unknown policy %q", s)
-	return 0
 }

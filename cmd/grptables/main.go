@@ -6,8 +6,10 @@
 //
 // Usage:
 //
-//	grptables [-factor small|full] [-bench a,b,c] [-jobs N] [-cache]
-//	          [-skip-sensitivity] [-format ascii|json]
+//	grptables [-factor test|small|full] [-bench a,b,c] [-jobs N] [-cache]
+//	          [-skip-sensitivity] [-attrib] [-charts] [-format ascii|json]
+//
+// A bad flag value exits 2 before any cell runs; a failed run exits 1.
 package main
 
 import (
@@ -50,24 +52,20 @@ func main() {
 		cacheDir = flag.String("cache-dir", campaign.DefaultCacheDir, "result cache directory")
 	)
 	flag.Parse()
-	if *format != "ascii" && *format != "json" {
-		log.Fatalf("unknown format %q (want ascii or json)", *format)
-	}
 
-	var f workloads.Factor
-	switch *factor {
-	case "test":
-		f = workloads.Test
-	case "small":
-		f = workloads.Small
-	case "full":
-		f = workloads.Full
-	default:
-		log.Fatalf("unknown factor %q", *factor)
+	// A bad flag value exits 2 before any cell runs.
+	if *format != "ascii" && *format != "json" {
+		usageIf(fmt.Errorf("unknown format %q (want ascii or json)", *format))
 	}
+	f, err := workloads.ParseFactor(*factor)
+	usageIf(err)
 	var names []string
 	if *benches != "" {
 		names = strings.Split(*benches, ",")
+		for _, name := range names {
+			_, err := workloads.ByName(name)
+			usageIf(err)
+		}
 	}
 	opt := core.Options{Factor: f, Attrib: *attribOn}
 
@@ -175,5 +173,13 @@ func main() {
 func fatal(err error) {
 	if err != nil {
 		log.Fatal(err)
+	}
+}
+
+// usageIf exits 2, the flag package's usage status, on a bad flag value.
+func usageIf(err error) {
+	if err != nil {
+		log.Print(err)
+		os.Exit(2)
 	}
 }

@@ -1,7 +1,8 @@
 // Custom kernel: shows the full library workflow on a workload that is
 // not part of the benchmark suite — a sparse matrix-vector product in CSR
-// form, written in the mini source language, compiled with automatic hint
-// analysis, and simulated under every prefetching scheme.
+// form, written in the mini source language, wrapped in a workloads.Spec,
+// and simulated through core.Run, which compiles it with automatic hint
+// analysis, under four prefetching schemes.
 //
 // CSR SpMV is a nice stress test because it mixes all three access kinds
 // the paper's hints cover: unit-stride streams (row pointers and values),
@@ -16,12 +17,10 @@ import (
 
 	"grp/internal/compiler"
 	"grp/internal/core"
-	"grp/internal/cpu"
 	"grp/internal/lang"
 	"grp/internal/mem"
-	"grp/internal/prefetch"
-	"grp/internal/sim"
 	"grp/internal/stats"
+	"grp/internal/workloads"
 )
 
 const (
@@ -83,60 +82,36 @@ func initData(m *mem.Memory, lay *compiler.Layout) {
 
 func main() {
 	log.SetFlags(0)
-	prog := buildSpMV()
+	spec := &workloads.Spec{
+		Name: "spmv",
+		Build: func(workloads.Factor) *workloads.Built {
+			return &workloads.Built{Prog: buildSpMV(), Init: initData, MaxInstrs: 600_000}
+		},
+	}
 
 	fmt.Println("CSR sparse matrix-vector product under each prefetching scheme")
 	fmt.Println()
-
-	type scheme struct {
-		name   string
-		engine func(m *mem.Memory) prefetch.Engine
+	_, _, an, err := compiler.CompileWorkload(buildSpMV(), mem.New(), compiler.PolicyDefault)
+	if err != nil {
+		log.Fatal(err)
 	}
-	schemes := []scheme{
-		{"base", func(*mem.Memory) prefetch.Engine { return prefetch.NewNull() }},
-		{"stride", func(*mem.Memory) prefetch.Engine { return prefetch.NewStride(prefetch.DefaultStrideConfig()) }},
-		{"srp", func(*mem.Memory) prefetch.Engine { return prefetch.NewSRP() }},
-		{"grp/var", func(m *mem.Memory) prefetch.Engine { return prefetch.NewGRP(prefetch.DefaultGRPConfig(), m) }},
-	}
+	fmt.Printf("compiler analysis (GRP binary):\n%s\n", an.Describe())
 
-	var baseCycles, baseTraffic float64
+	var base *core.Result
 	tb := &stats.Table{Headers: []string{"scheme", "cycles", "IPC", "speedup", "traffic"}}
-	for _, sc := range schemes {
-		m := mem.New()
-		compiled, lay, an, err := compiler.CompileWorkload(prog, m, compiler.PolicyDefault)
+	for _, sc := range []core.Scheme{core.NoPrefetch, core.StridePF, core.SRP, core.GRPVar} {
+		r, err := core.Run(spec, sc, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if sc.name == "grp/var" {
-			fmt.Printf("compiler analysis (GRP binary):\n%s\n", an.Describe())
+		if base == nil {
+			base = r
 		}
-		initData(m, lay)
-
-		ms, err := sim.NewMemSystem(sim.DefaultMemConfig(), sc.engine(m))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := cpu.Default()
-		cfg.MaxInstrs = 600_000
-		c, err := cpu.New(cfg, m, ms)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := c.Run(compiled)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ms.Drain()
-
-		traffic := float64(ms.Dram.TrafficBytes())
-		if sc.name == "base" {
-			baseCycles, baseTraffic = float64(res.Cycles), traffic
-		}
-		tb.Add(sc.name,
-			fmt.Sprint(res.Cycles),
-			stats.Fmt(res.IPC(), 3),
-			stats.Fmt(baseCycles/float64(res.Cycles), 3),
-			stats.Fmt(traffic/baseTraffic, 2),
+		tb.Add(sc.String(),
+			fmt.Sprint(r.CPU.Cycles),
+			stats.Fmt(r.IPC(), 3),
+			stats.Fmt(core.Speedup(r, base), 3),
+			stats.Fmt(core.TrafficIncrease(r, base), 2),
 		)
 	}
 	fmt.Println(tb)
@@ -146,5 +121,4 @@ func main() {
 	fmt.Println("prefetching regions around the scattered x accesses (+31% traffic).")
 	fmt.Println("The same flow works for any kernel you express in the lang package;")
 	fmt.Println("see also the core package facade used by the suite (internal/core).")
-	_ = core.AllSchemes // documented entry point for suite-level runs
 }

@@ -19,8 +19,8 @@ import (
 //
 // Clause keys:
 //
-//	schemes=...   scheme list (names as printed by core.Scheme.String,
-//	              plus the aliases in schemeAliases); "all" = AllSchemes
+//	schemes=...   scheme list (names core.SchemeByName accepts); "all" =
+//	              AllSchemes
 //	kernels=...   benchmark list ("benches=" is accepted too); "all" =
 //	              every workload
 //
@@ -42,18 +42,6 @@ import (
 // slowest (axes in declared order, values in declared order), then
 // benches, then schemes — so output order never depends on completion
 // order or worker count.
-
-// schemeAliases maps the friendly spellings used in sweep specs to the
-// canonical scheme names.
-var schemeAliases = map[string]string{
-	"nopf":        "base",
-	"nopref":      "base",
-	"grpfix":      "grp/fix",
-	"grpvar":      "grp/var",
-	"pointer":     "ptr",
-	"grpadaptive": "grp-adaptive",
-	"adaptive":    "grp-adaptive",
-}
 
 // Axis is one overlay dimension of a sweep grid.
 type Axis struct {
@@ -425,11 +413,7 @@ func parseSchemes(vals []string) ([]core.Scheme, error) {
 	}
 	var out []core.Scheme
 	for _, v := range vals {
-		name := v
-		if alias, ok := schemeAliases[strings.ToLower(v)]; ok {
-			name = alias
-		}
-		sc, err := core.SchemeByName(name)
+		sc, err := core.SchemeByName(v)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %w", err)
 		}

@@ -36,6 +36,16 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy resolves a policy name as printed by String.
+func ParsePolicy(s string) (Policy, error) {
+	for _, p := range []Policy{PolicyDefault, PolicyConservative, PolicyAggressive} {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("compiler: unknown policy %q (want default, conservative, aggressive)", s)
+}
+
 // Analysis tunables; these mirror the simulated hardware (Section 5.1).
 const (
 	// SpatialStrideMax is the largest byte stride treated as having
@@ -1031,7 +1041,7 @@ func encodeCoeff(bs int64) uint8 {
 
 // ------------------------------------------------------------- reporting --
 
-// Describe renders the annotations human-readably (cmd/grphints).
+// Describe renders the annotations human-readably (grpsim -hints).
 func (an *Annotations) Describe() string {
 	type row struct{ kind, detail string }
 	var rows []row

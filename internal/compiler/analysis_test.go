@@ -7,6 +7,17 @@ import (
 	"grp/internal/lang"
 )
 
+func TestParsePolicy(t *testing.T) {
+	for _, p := range []Policy{PolicyDefault, PolicyConservative, PolicyAggressive} {
+		if got, err := ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	if _, err := ParsePolicy("yolo"); err == nil {
+		t.Error("ParsePolicy accepted yolo")
+	}
+}
+
 // analyzeOne runs the analysis and returns the annotation for ref.
 func analyzeOne(t *testing.T, p *lang.Program, pol Policy, ref lang.Expr) *HintInfo {
 	t.Helper()

@@ -97,8 +97,6 @@ func DefaultSchemes() []core.Scheme {
 	return []core.Scheme{core.NoPrefetch, core.StridePF, core.GHB, core.SRP, core.GRPFix, core.GRPVar, core.GRPAdaptive}
 }
 
-const defaultMaxSteps = 300_000
-
 // Failure is one conformance violation.
 type Failure struct {
 	Seed    int64
@@ -239,34 +237,17 @@ func CheckWorkload(cfg Config, seed int64, w *progen.Workload) *ProgramReport {
 		return pr
 	}
 
-	// Oracle: interpret the program over a fresh placed-and-initialized
-	// memory. Place is deterministic and compiled code never occupies
-	// simulated memory, so the final digest is directly comparable with
-	// every simulated run's Result.MemDigest.
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps
-	}
-	om := mem.New()
-	lay := compiler.Place(w.Prog, om)
-	w.Init(om, func(name string) uint64 { return lay.Addr[name] })
-	ip := compiler.NewInterp(w.Prog, lay, om, maxSteps)
-	if err := ip.Run(); err != nil {
-		// Runaway execution is a property of the generated program, not a
-		// simulator bug: skip rather than fail.
+	// Oracle: interpret the program; its step count sets the simulated
+	// instruction budget, which only a genuine divergence exhausts (the
+	// no-halt check then reports it).
+	orc, err := workloads.RunOracle(specName(seed), w, cfg.MaxSteps)
+	if err != nil {
 		pr.Skipped = true
 		pr.SkipReason = err.Error()
 		return pr
 	}
-	pr.Steps = ip.Steps()
-	oracle := om.Digest()
-
-	// The simulated-instruction budget derives from the oracle's step
-	// count: compiled code spends a bounded handful of instructions per
-	// interpreter step, so 16x plus slack can only be exhausted by a
-	// genuine divergence (which the no-halt check then reports).
-	budget := uint64(ip.Steps())*16 + 65536
-	spec := syntheticSpec(seed, w, budget)
+	pr.Steps = orc.Steps
+	oracle, spec := orc.Digest, orc.Spec
 
 	schemes := cfg.Schemes
 	if schemes == nil {
@@ -292,7 +273,7 @@ func CheckWorkload(cfg Config, seed int64, w *progen.Workload) *ProgramReport {
 			return nil
 		}
 		if !r.CPU.Halted {
-			fail(sc, variant, "no-halt", fmt.Sprintf("budget %d instrs exhausted (oracle took %d steps)", budget, ip.Steps()))
+			fail(sc, variant, "no-halt", fmt.Sprintf("budget %d instrs exhausted (oracle took %d steps)", orc.Budget, orc.Steps))
 			return nil
 		}
 		return r
@@ -446,23 +427,8 @@ func checkAttrib(r *core.Result, fail func(core.Scheme, string, string, string),
 	}
 }
 
-// syntheticSpec wraps a generated workload as a workloads.Spec so it can
-// flow through core.Run unchanged. The factor is ignored: generated
-// programs have one size.
-func syntheticSpec(seed int64, w *progen.Workload, budget uint64) *workloads.Spec {
-	return &workloads.Spec{
-		Name: fmt.Sprintf("conform%d", seed),
-		Build: func(workloads.Factor) *workloads.Built {
-			return &workloads.Built{
-				Prog: w.Prog,
-				Init: func(m *mem.Memory, lay *compiler.Layout) {
-					w.Init(m, func(name string) uint64 { return lay.Addr[name] })
-				},
-				MaxInstrs: budget,
-			}
-		},
-	}
-}
+// specName names the spec of generated program seed.
+func specName(seed int64) string { return fmt.Sprintf("conform%d", seed) }
 
 // cloneOptions copies the options including pointed-to configs, so cells
 // never alias each other's mutable state.
@@ -479,16 +445,11 @@ func cloneOptions(base core.Options) core.Options {
 	return opt
 }
 
-// ParseSchemes resolves a comma-separated scheme list, accepting the
-// campaign spec grammar's friendly aliases. "all" means DefaultSchemes
-// (the realistic set — perfect caches are always run as references, never
+// ParseSchemes resolves a comma-separated scheme list through
+// core.SchemeByName, aliases included. "all" means DefaultSchemes (the
+// realistic set — perfect caches are always run as references, never
 // differentiated).
 func ParseSchemes(csv string) ([]core.Scheme, error) {
-	aliases := map[string]string{
-		"nopf": "base", "nopref": "base",
-		"grpfix": "grp/fix", "grpvar": "grp/var", "pointer": "ptr",
-		"grpadaptive": "grp-adaptive", "adaptive": "grp-adaptive",
-	}
 	if strings.EqualFold(strings.TrimSpace(csv), "all") || strings.TrimSpace(csv) == "" {
 		return DefaultSchemes(), nil
 	}
@@ -497,9 +458,6 @@ func ParseSchemes(csv string) ([]core.Scheme, error) {
 		name := strings.TrimSpace(part)
 		if name == "" {
 			continue
-		}
-		if a, ok := aliases[strings.ToLower(name)]; ok {
-			name = a
 		}
 		sc, err := core.SchemeByName(name)
 		if err != nil {

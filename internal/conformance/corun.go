@@ -6,9 +6,7 @@ import (
 	"strings"
 
 	"grp/internal/campaign"
-	"grp/internal/compiler"
 	"grp/internal/core"
-	"grp/internal/mem"
 	"grp/internal/progen"
 	"grp/internal/workloads"
 )
@@ -146,23 +144,15 @@ func CheckCoRunSeed(cfg CoRunConfig, seed int64) *CoRunProgramReport {
 		fail(core.NoPrefetch, "run-error", fmt.Sprintf("generator produced invalid program: %v", err))
 		return pr
 	}
-	// Budget from the interpreter oracle, exactly as the main harness
-	// derives it (see CheckWorkload).
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps
-	}
-	om := mem.New()
-	lay := compiler.Place(w.Prog, om)
-	w.Init(om, func(name string) uint64 { return lay.Addr[name] })
-	ip := compiler.NewInterp(w.Prog, lay, om, maxSteps)
-	if err := ip.Run(); err != nil {
+	// The instruction budget comes from the interpreter oracle, as in
+	// CheckWorkload.
+	orc, err := workloads.RunOracle(specName(seed), w, cfg.MaxSteps)
+	if err != nil {
 		pr.Skipped = true
 		pr.SkipReason = err.Error()
 		return pr
 	}
-	budget := uint64(ip.Steps())*16 + 65536
-	spec := syntheticSpec(seed, w, budget)
+	spec := orc.Spec
 
 	schemes := cfg.Schemes
 	if schemes == nil {

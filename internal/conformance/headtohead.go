@@ -7,11 +7,10 @@ import (
 	"strings"
 
 	"grp/internal/campaign"
-	"grp/internal/compiler"
 	"grp/internal/core"
 	"grp/internal/faults"
-	"grp/internal/mem"
 	"grp/internal/progen"
+	"grp/internal/workloads"
 )
 
 // The head-to-head harness answers the scheme family's motivating
@@ -143,15 +142,11 @@ func RunHeadToHead(cfg H2HConfig) (*H2HReport, error) {
 		if err := w.Prog.Validate(); err != nil {
 			return nil // skip: generator artifact, not a scheme property
 		}
-		om := mem.New()
-		lay := compiler.Place(w.Prog, om)
-		w.Init(om, func(name string) uint64 { return lay.Addr[name] })
-		ip := compiler.NewInterp(w.Prog, lay, om, defaultMaxSteps)
-		if err := ip.Run(); err != nil {
+		orc, err := workloads.RunOracle(specName(seed), w, 0)
+		if err != nil {
 			return nil // runaway program: skip the seed for every scheme
 		}
-		budget := uint64(ip.Steps())*16 + 65536
-		spec := syntheticSpec(seed, w, budget)
+		spec := orc.Spec
 
 		ipcs := make([]float64, len(schemes))
 		for k, sc := range schemes {

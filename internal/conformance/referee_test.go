@@ -3,9 +3,7 @@ package conformance
 import (
 	"testing"
 
-	"grp/internal/compiler"
 	"grp/internal/core"
-	"grp/internal/mem"
 	"grp/internal/progen"
 	"grp/internal/sim"
 	"grp/internal/workloads"
@@ -186,13 +184,9 @@ func TestL2WaysNeverAddMisses(t *testing.T) {
 // fleetSpec returns the generated program of seed as a spec with
 // CheckWorkload's instruction budget, or nil when the oracle skips it.
 func fleetSpec(seed int64) *workloads.Spec {
-	w := progen.Generate(seed, progen.Config{})
-	om := mem.New()
-	lay := compiler.Place(w.Prog, om)
-	w.Init(om, func(name string) uint64 { return lay.Addr[name] })
-	ip := compiler.NewInterp(w.Prog, lay, om, defaultMaxSteps)
-	if ip.Run() != nil {
+	orc, err := workloads.RunOracle(specName(seed), progen.Generate(seed, progen.Config{}), 0)
+	if err != nil {
 		return nil
 	}
-	return syntheticSpec(seed, w, uint64(ip.Steps())*16+65536)
+	return orc.Spec
 }

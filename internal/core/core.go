@@ -7,6 +7,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"grp/internal/attrib"
 	"grp/internal/cache"
@@ -74,8 +75,21 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
 
-// SchemeByName resolves a scheme name as printed by String.
+// schemeAliases maps friendlier spellings, matched case-insensitively,
+// to the names String prints.
+var schemeAliases = map[string]string{
+	"nopf": "base", "nopref": "base",
+	"grpfix": "grp/fix", "grpvar": "grp/var", "pointer": "ptr",
+	"grpadaptive": "grp-adaptive", "adaptive": "grp-adaptive",
+}
+
+// SchemeByName resolves a scheme name as printed by String, or one of
+// its aliases. Every command, the sweep grammar and the service resolve
+// scheme names here.
 func SchemeByName(name string) (Scheme, error) {
+	if a, ok := schemeAliases[strings.ToLower(name)]; ok {
+		name = a
+	}
 	for s, n := range schemeNames {
 		if n == name {
 			return s, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"grp/internal/compiler"
@@ -298,10 +299,15 @@ func (s *Suite) Figure11() (*stats.Table, error) {
 
 // Table4 reproduces the GRP/Var-vs-GRP/Fix comparison for the benchmarks
 // where variable sizing matters, with the region-size distribution of the
-// GRP/Var run.
+// GRP/Var run. A nil benches selects those of mesa, bzip2 and sphinx
+// that the suite holds.
 func (s *Suite) Table4(benches []string) (*stats.Table, error) {
 	if benches == nil {
-		benches = []string{"mesa", "bzip2", "sphinx"}
+		for _, b := range []string{"mesa", "bzip2", "sphinx"} {
+			if slices.Contains(s.Benches, b) {
+				benches = append(benches, b)
+			}
+		}
 	}
 	sizes := []int{2, 4, 8, 16, 32, 64}
 	headers := []string{"benchmark", "var traffic", "fix traffic"}

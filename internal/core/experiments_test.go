@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"grp/internal/stats"
 	"grp/internal/workloads"
 )
 
@@ -121,6 +122,37 @@ func TestAllExperimentTablesRender(t *testing.T) {
 	}
 }
 
+// TestExhibitsOnSubsetSuite renders every exhibit from a suite of two
+// kernels that hold none of Table 4's benchmarks: each exhibit reads only
+// the benchmarks the suite ran.
+func TestExhibitsOnSubsetSuite(t *testing.T) {
+	s, err := RunSuite([]string{"mcf", "art"}, nil, Options{Factor: workloads.Test})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Figure1(); err != nil {
+		t.Error(err)
+	}
+	if _, _, err := s.Table1(); err != nil {
+		t.Error(err)
+	}
+	for name, f := range map[string]func() (*stats.Table, error){
+		"Table3": s.Table3, "Figure9": s.Figure9, "Figure10": s.Figure10, "Figure11": s.Figure11,
+		"Figure12": s.Figure12, "Table5": s.Table5, "Table6": s.Table6,
+	} {
+		if _, err := f(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	t4, err := s.Table4(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(t4.Rows) != 0 {
+		t.Errorf("Table 4 of {mcf, art} has rows %v, want none", t4.Rows)
+	}
+}
+
 func render(tb interface{ String() string }, err error) (string, error) {
 	if err != nil {
 		return "", err
@@ -194,8 +226,18 @@ func TestSchemeByName(t *testing.T) {
 			t.Errorf("SchemeByName(%q) = %v, %v", sc.String(), got, err)
 		}
 	}
-	if _, err := SchemeByName("bogus"); err == nil {
-		t.Error("unknown scheme should error")
+	for alias, want := range map[string]Scheme{
+		"NoPF": NoPrefetch, "nopref": NoPrefetch, "GRPFix": GRPFix, "grpvar": GRPVar,
+		"Pointer": PointerOnly, "grpadaptive": GRPAdaptive, "ADAPTIVE": GRPAdaptive,
+	} {
+		if got, err := SchemeByName(alias); err != nil || got != want {
+			t.Errorf("SchemeByName(%q) = %v, %v, want %v", alias, got, err, want)
+		}
+	}
+	for _, bad := range []string{"bogus", "GRP/VAR", "PerfectL2"} {
+		if _, err := SchemeByName(bad); err == nil {
+			t.Errorf("SchemeByName(%q) accepted", bad)
+		}
 	}
 	if Scheme(99).String() == "" {
 		t.Error("unknown scheme string")

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"grp/internal/compiler"
 	"grp/internal/mem"
 	"grp/internal/prefetch"
 	"grp/internal/progen"
@@ -57,27 +56,11 @@ func timingDiff(a, b *Result) []string {
 // the conformance harness's, or nil when its interpreter run exceeds the
 // harness's step bound.
 func generatedSpec(seed int64) *workloads.Spec {
-	w := progen.Generate(seed, progen.Config{})
-	om := mem.New()
-	lay := compiler.Place(w.Prog, om)
-	w.Init(om, func(name string) uint64 { return lay.Addr[name] })
-	ip := compiler.NewInterp(w.Prog, lay, om, 300_000)
-	if ip.Run() != nil {
+	orc, err := workloads.RunOracle(fmt.Sprintf("gen%d", seed), progen.Generate(seed, progen.Config{}), 0)
+	if err != nil {
 		return nil
 	}
-	budget := uint64(ip.Steps())*16 + 65536
-	return &workloads.Spec{
-		Name: fmt.Sprintf("gen%d", seed),
-		Build: func(workloads.Factor) *workloads.Built {
-			return &workloads.Built{
-				Prog: w.Prog,
-				Init: func(m *mem.Memory, lay *compiler.Layout) {
-					w.Init(m, func(name string) uint64 { return lay.Addr[name] })
-				},
-				MaxInstrs: budget,
-			}
-		},
-	}
+	return orc.Spec
 }
 
 // TestMutedEngineEqualsNone runs every issuing scheme with its engine

@@ -12,9 +12,7 @@ import (
 	"grp/internal/stats"
 )
 
-// This file holds the human-readable run reporting shared by the grpsim
-// and grptrace commands, so the two tools describe the memory system in
-// the same vocabulary and stay in sync as stats are added.
+// This file holds the human-readable run reports grpsim prints.
 
 // FprintResult writes the standard per-run report: core progress, cache
 // behavior, memory traffic, prefetch effectiveness, hint census, and —
@@ -26,21 +24,14 @@ func FprintResult(w io.Writer, r *Result) {
 	fmt.Fprintf(w, "  IPC              %.3f\n", r.IPC())
 	fmt.Fprintf(w, "  branches         %d (%d mispredicted)\n", r.CPU.Branches, r.CPU.Mispredicts)
 	fmt.Fprintf(w, "  L1: %d accesses, %.1f%% miss\n", r.L1.Accesses, r.L1.MissRate())
-	FprintMemSummary(w, r.L2, r.Mem, r.TrafficBytes)
+	fmt.Fprintf(w, "  L2: %d accesses, %.1f%% miss\n", r.L2.Accesses, r.L2.MissRate())
+	fmt.Fprintf(w, "  memory traffic   %d bytes (%d blocks)\n", r.TrafficBytes, r.TrafficBytes/64)
+	fmt.Fprintf(w, "  prefetches       %d issued, %d useful, %d late, accuracy %.1f%%\n",
+		r.Mem.PrefetchesIssued, r.L2.UsefulPrefetches, r.Mem.PrefetchLates, r.Accuracy())
 	fmt.Fprintf(w, "  hints            %d/%d mem instructions hinted (%.1f%%)\n",
 		r.Hints.Hinted(), r.Hints.MemInsts, r.Hints.HintRatio())
 	FprintLatencies(w, r.Metrics)
 	FprintAttrib(w, r.Attrib)
-}
-
-// FprintMemSummary writes the L2/traffic/prefetch block of the report
-// from raw memory-system stats, usable by trace-driven replays that have
-// no full Result.
-func FprintMemSummary(w io.Writer, l2 cache.Stats, mem sim.MemStats, trafficBytes uint64) {
-	fmt.Fprintf(w, "  L2: %d accesses, %.1f%% miss\n", l2.Accesses, l2.MissRate())
-	fmt.Fprintf(w, "  memory traffic   %d bytes (%d blocks)\n", trafficBytes, trafficBytes/64)
-	fmt.Fprintf(w, "  prefetches       %d issued, %d useful, %d late, accuracy %.1f%%\n",
-		mem.PrefetchesIssued, l2.UsefulPrefetches, mem.PrefetchLates, accuracy(l2, mem))
 }
 
 // FprintCompare writes the speedup/traffic/coverage block comparing a run

@@ -100,10 +100,10 @@ func DecodeSweepRequest(data []byte) (*SweepRequest, error) {
 	if req.Weight < 1 || req.Weight > maxWeight {
 		return nil, badRequest("weight", "%d out of range [1, %d]", req.Weight, maxWeight)
 	}
-	if _, err := parseFactor(req.Factor); err != nil {
+	if _, err := workloads.ParseFactor(req.Factor); err != nil {
 		return nil, badRequest("factor", "%v", err)
 	}
-	if _, err := parsePolicy(req.Policy); err != nil {
+	if _, err := compiler.ParsePolicy(req.Policy); err != nil {
 		return nil, badRequest("policy", "%v", err)
 	}
 	if _, err := req.Grid(); err != nil {
@@ -114,11 +114,11 @@ func DecodeSweepRequest(data []byte) (*SweepRequest, error) {
 
 // Options resolves the request's base simulation options.
 func (r *SweepRequest) Options() (core.Options, error) {
-	f, err := parseFactor(r.Factor)
+	f, err := workloads.ParseFactor(r.Factor)
 	if err != nil {
 		return core.Options{}, err
 	}
-	p, err := parsePolicy(r.Policy)
+	p, err := compiler.ParsePolicy(r.Policy)
 	if err != nil {
 		return core.Options{}, err
 	}
@@ -132,28 +132,4 @@ func (r *SweepRequest) Grid() (*campaign.Grid, error) {
 		return nil, err
 	}
 	return campaign.ParseSpec(r.Spec, base)
-}
-
-func parseFactor(s string) (workloads.Factor, error) {
-	switch s {
-	case "test":
-		return workloads.Test, nil
-	case "small":
-		return workloads.Small, nil
-	case "full":
-		return workloads.Full, nil
-	}
-	return 0, fmt.Errorf("unknown factor %q (want test, small, full)", s)
-}
-
-func parsePolicy(s string) (compiler.Policy, error) {
-	switch s {
-	case "default":
-		return compiler.PolicyDefault, nil
-	case "conservative":
-		return compiler.PolicyConservative, nil
-	case "aggressive":
-		return compiler.PolicyAggressive, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q (want default, conservative, aggressive)", s)
 }

@@ -1,3 +1,7 @@
+// Package trace records a run's timeline and writes it as Chrome
+// trace-event JSON, which loads in ui.perfetto.dev: spans for demand
+// misses, prefetches and DRAM bank activity, plus flow events that link
+// each prefetch to the hint-planting demand miss that opened its region.
 package trace
 
 import (

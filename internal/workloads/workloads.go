@@ -36,8 +36,8 @@ import (
 // Factor scales working-set sizes and iteration counts.
 type Factor int
 
-// Scale levels. Test keeps unit tests fast; Full is used by the benchmark
-// harness and cmd/grptables.
+// Scale levels. Test keeps unit tests fast; Full is used for the paper's
+// tables.
 const (
 	Test Factor = iota
 	Small
@@ -53,6 +53,16 @@ func (f Factor) String() string {
 	default:
 		return "full"
 	}
+}
+
+// ParseFactor resolves a factor name as printed by String.
+func ParseFactor(s string) (Factor, error) {
+	for _, f := range []Factor{Test, Small, Full} {
+		if f.String() == s {
+			return f, nil
+		}
+	}
+	return 0, fmt.Errorf("workloads: unknown factor %q (want test, small, full)", s)
 }
 
 // pick returns the value for the factor.

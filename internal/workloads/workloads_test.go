@@ -6,6 +6,7 @@ import (
 	"grp/internal/compiler"
 	"grp/internal/lang"
 	"grp/internal/mem"
+	"grp/internal/progen"
 )
 
 func TestAllBuildValidateCompile(t *testing.T) {
@@ -29,6 +30,37 @@ func TestAllBuildValidateCompile(t *testing.T) {
 				t.Error("MaxInstrs must be set")
 			}
 		})
+	}
+}
+
+func TestParseFactor(t *testing.T) {
+	for _, f := range []Factor{Test, Small, Full} {
+		if got, err := ParseFactor(f.String()); err != nil || got != f {
+			t.Errorf("ParseFactor(%q) = %v, %v", f.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "huge", "Test"} {
+		if _, err := ParseFactor(bad); err == nil {
+			t.Errorf("ParseFactor(%q) accepted", bad)
+		}
+	}
+}
+
+// TestRunOracle pins the budget rule and the runaway skip.
+func TestRunOracle(t *testing.T) {
+	w := progen.Generate(1, progen.Config{})
+	o, err := RunOracle("gen1", w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Steps <= 0 || o.Budget != uint64(o.Steps)*16+65536 {
+		t.Errorf("steps %d, budget %d: want budget 16 × steps + 65536", o.Steps, o.Budget)
+	}
+	if b := o.Spec.Build(Full); o.Spec.Name != "gen1" || b.Prog != w.Prog || b.MaxInstrs != o.Budget {
+		t.Errorf("spec %q wraps program %p with budget %d", o.Spec.Name, b.Prog, b.MaxInstrs)
+	}
+	if _, err := RunOracle("gen1", w, 1); err == nil {
+		t.Error("a one-step bound did not stop the interpreter")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"grp/internal/core"
+	"grp/internal/sim"
 	"grp/internal/workloads"
 )
 
@@ -58,10 +59,17 @@ func ablate(b *testing.B, bench string, scheme core.Scheme, with core.Options) {
 	}
 }
 
+// memWith returns the paper's memory configuration changed by set.
+func memWith(set func(*sim.MemConfig)) *sim.MemConfig {
+	m := sim.DefaultMemConfig()
+	set(&m)
+	return &m
+}
+
 // BenchmarkAblationLRUInsert compares the paper's LRU insertion for
 // prefetch fills against MRU insertion on a pollution-sensitive workload.
 func BenchmarkAblationLRUInsert(b *testing.B) {
-	ablate(b, "twolf", core.SRP, core.Options{PrefetchInsertMRU: true})
+	ablate(b, "twolf", core.SRP, core.Options{Mem: memWith(func(m *sim.MemConfig) { m.L2.PrefetchInsertMRU = true })})
 }
 
 // BenchmarkAblationPrioritizer lets prefetches contend with demands.
@@ -129,7 +137,7 @@ func BenchmarkAblationRecursionDepth(b *testing.B) {
 // optimization: issuing prefetch candidates whose DRAM row is already
 // open before index-order candidates.
 func BenchmarkAblationOpenPageFirst(b *testing.B) {
-	ablate(b, "wupwise", core.SRP, core.Options{OpenPageFirst: true})
+	ablate(b, "wupwise", core.SRP, core.Options{Mem: memWith(func(m *sim.MemConfig) { m.OpenPageFirst = true })})
 }
 
 // BenchmarkExtensionSoftwarePrefetch compares classic software

@@ -6,10 +6,12 @@
 //	grpsim -bench mcf -scheme grp/var [-factor full] [-policy default]
 //	grpsim -hints -bench mcf|all [-factor full] [-policy default]
 //
-// Telemetry: -metrics collects the run's counter/gauge/histogram registry
-// and cycle-sampled time series (latency percentiles join the report);
+// Telemetry: -metrics collects the run's gauge/histogram registry and
+// cycle-sampled time series (latency percentiles join the report);
 // -metrics-out dumps the full snapshot as JSON; -perfetto writes a Chrome
-// trace-event timeline loadable at ui.perfetto.dev.
+// trace-event timeline loadable at ui.perfetto.dev. With -corun they
+// observe core 0 (-bench), and the timeline's DRAM bank spans include the
+// co-runners' traffic.
 //
 // Attribution: -attrib attaches the prefetch lifecycle ledger
 // (internal/attrib) — every issued prefetch is followed to a terminal
@@ -121,16 +123,12 @@ func main() {
 		opt.Faults = &plan
 	}
 	usageIf(opt.Validate())
+	var benches []string
 	if *corun != "" {
-		// Co-run mode replaces the single-cell campaign path entirely:
-		// RunCoRun drives all cores over the shared fabric and the report
-		// is the per-core slowdown table. Telemetry describes one core, so
-		// the engine rejects it with two or more; a fault plan arms one
-		// injector for the whole system.
-		if *compare || *cacheOn || *perfetto != "" {
-			usageIf(errors.New("-corun does not combine with -compare, -cache, or -perfetto"))
+		if *compare || *cacheOn {
+			usageIf(errors.New("-corun does not combine with -compare or -cache"))
 		}
-		benches := []string{spec.Name}
+		benches = []string{spec.Name}
 		for _, b := range strings.Split(*corun, ",") {
 			b = strings.TrimSpace(b)
 			if b == "" {
@@ -140,8 +138,6 @@ func main() {
 			usageIf(err)
 			benches = append(benches, b)
 		}
-		runCoRun(benches, sc, opt, openOut(*attribOut))
-		return
 	}
 	var tl *trace.Timeline
 	if *perfetto != "" {
@@ -151,6 +147,25 @@ func main() {
 	metricsFile := openOut(*metricsOut)
 	perfettoFile := openOut(*perfetto)
 	attribFile := openOut(*attribOut)
+	// writeTelemetry dumps a run's metrics snapshot and the timeline.
+	writeTelemetry := func(r *core.Result) {
+		if metricsFile != nil {
+			writeOut(metricsFile, r.Metrics.WriteJSON)
+		}
+		if perfettoFile != nil {
+			writeOut(perfettoFile, tl.WriteJSON)
+			fmt.Printf("wrote %d timeline events to %s\n", tl.Len(), *perfetto)
+		}
+	}
+	if benches != nil {
+		// Co-run mode replaces the single-cell campaign path entirely:
+		// RunCoRun drives all cores over the shared fabric and the report
+		// is the per-core slowdown table. Telemetry and the timeline
+		// observe core 0; a fault plan arms one injector for the whole
+		// system.
+		runCoRun(benches, sc, opt, attribFile, writeTelemetry)
+		return
+	}
 
 	// Both the main run and the -compare baseline go through the campaign
 	// engine: with -cache an unchanged cell (the baseline in particular)
@@ -190,9 +205,6 @@ func main() {
 		fmt.Printf("cache: %d of %d runs served from %s\n", cs.Hits, len(jobsList), *cacheDir)
 	}
 
-	if metricsFile != nil {
-		writeOut(metricsFile, r.Metrics.WriteJSON)
-	}
 	if attribFile != nil {
 		writeOut(attribFile, func(w io.Writer) error {
 			enc := json.NewEncoder(w)
@@ -200,18 +212,17 @@ func main() {
 			return enc.Encode(r.Attrib)
 		})
 	}
-	if perfettoFile != nil {
-		writeOut(perfettoFile, tl.WriteJSON)
-		fmt.Printf("wrote %d timeline events to %s\n", tl.Len(), *perfetto)
-	}
+	writeTelemetry(r)
 }
 
 // runCoRun is the -corun driver: simulate benches[0] (core 0) plus the
 // co-runners on one shared L2+DRAM, run each workload solo for the
 // slowdown reference, and print the per-core table. With -attrib each
 // core's lifecycle ledger joins the report (and -attrib-out dumps the
-// per-core summaries as a JSON array).
-func runCoRun(benches []string, sc core.Scheme, opt core.Options, attribFile *os.File) {
+// per-core summaries as a JSON array). Telemetry observes core 0: -metrics
+// adds its latency percentiles, and -metrics-out and -perfetto dump its
+// snapshot and timeline.
+func runCoRun(benches []string, sc core.Scheme, opt core.Options, attribFile *os.File, writeTelemetry func(*core.Result)) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	opt.Cancel = ctx.Err
@@ -230,6 +241,10 @@ func runCoRun(benches []string, sc core.Scheme, opt core.Options, attribFile *os
 	for _, r := range cr.Results {
 		fmt.Printf("core %d (%s) arch digest %#016x\n", r.CoRun.Core, r.Bench, r.ArchDigest)
 	}
+	if r := cr.Results[0]; r.Metrics != nil {
+		fmt.Printf("core 0 (%s) latencies:\n", r.Bench)
+		core.FprintLatencies(os.Stdout, r.Metrics)
+	}
 	if opt.Attrib {
 		for _, r := range cr.Results {
 			fmt.Printf("\ncore %d (%s):", r.CoRun.Core, r.Bench)
@@ -247,6 +262,7 @@ func runCoRun(benches []string, sc core.Scheme, opt core.Options, attribFile *os
 			return enc.Encode(summaries)
 		})
 	}
+	writeTelemetry(cr.Results[0])
 }
 
 // openOut opens an output path before the run so an unwritable path fails

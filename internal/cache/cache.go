@@ -134,9 +134,6 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // RegisterMetrics registers this cache's event counts as probe-backed
 // gauges under "<name>." (the lowercased config name), so a registry
 // snapshot taken at any point reports live cumulative state. It costs
@@ -320,26 +317,6 @@ func (c *Cache) FillTracked(addr uint64, prefetch, dirty bool, token int32) (v V
 		ways[0] = nl
 	}
 	return v, evicted, true
-}
-
-// Invalidate drops the block containing addr if present, returning whether
-// it was dirty. Used by tests and by writeback handling.
-func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
-	set, tag := c.index(addr)
-	ways := c.ways(set)
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			wasDirty = ways[i].dirty
-			if ways[i].prefetched {
-				c.stats.UselessPrefetches++
-			}
-			// Compact toward MRU, leaving the hole at LRU.
-			copy(ways[i:], ways[i+1:])
-			ways[len(ways)-1] = line{}
-			return wasDirty, true
-		}
-	}
-	return false, false
 }
 
 func (c *Cache) reconstruct(_, tag uint64) uint64 {

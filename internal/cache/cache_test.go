@@ -165,21 +165,6 @@ func TestMarkDirty(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := mustNew(t, testConfig())
-	c.Fill(0x4000, false, true)
-	dirty, present := c.Invalidate(0x4000)
-	if !present || !dirty {
-		t.Errorf("Invalidate = (%v,%v), want dirty present", dirty, present)
-	}
-	if hit, _ := c.Access(0x4000, false); hit {
-		t.Error("invalidated block should miss")
-	}
-	if _, present := c.Invalidate(0x9999000); present {
-		t.Error("invalidate of absent block should report absent")
-	}
-}
-
 func TestContainsDoesNotPerturb(t *testing.T) {
 	c := mustNew(t, testConfig())
 	for i := 0; i < 4; i++ {

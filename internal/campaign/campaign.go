@@ -40,11 +40,9 @@ type Config struct {
 	Cache bool
 	// CacheDir overrides the cache root (default .grpcache).
 	CacheDir string
-	// MemEntries bounds the in-memory LRU (default 512 cells).
-	MemEntries int
-	// Backend overrides the result store entirely (Cache/CacheDir/
-	// MemEntries are then ignored). A *Store gets the engine's chaos and
-	// warning hooks wired in; any other Backend is used as given.
+	// Backend overrides the result store entirely (Cache and CacheDir are
+	// then ignored). A *Store gets the engine's chaos and warning hooks
+	// wired in; any other Backend is used as given.
 	Backend Backend
 	// Dedup collapses concurrent identical in-flight cells through a
 	// singleflight layer in front of the store: each unique cell digest
@@ -106,7 +104,7 @@ func New(cfg Config) *Engine {
 	case cfg.Backend != nil:
 		e.store = cfg.Backend
 	case cfg.Cache:
-		e.store = NewStore(cfg.CacheDir, cfg.MemEntries)
+		e.store = NewStore(cfg.CacheDir, 0)
 	}
 	// The local-directory store carries engine-level hooks (chaos
 	// injection, warning sink); other backends are self-contained.
@@ -119,9 +117,6 @@ func New(cfg Config) *Engine {
 	}
 	return e
 }
-
-// Backend returns the engine's result store (nil when caching is off).
-func (e *Engine) Backend() Backend { return e.store }
 
 // Jobs returns the effective worker-pool width.
 func (e *Engine) Jobs() int {

@@ -219,7 +219,9 @@ func TestKeyCanonicalization(t *testing.T) {
 	o.RecursionDepth = 3
 	distinct["depth"] = o
 	o = base
-	o.OpenPageFirst = true
+	memOPF := sim.DefaultMemConfig()
+	memOPF.OpenPageFirst = true
+	o.Mem = &memOPF
 	distinct["openpage"] = o
 	o = base
 	o.Metrics = true

@@ -46,7 +46,11 @@ import (
 //
 // 7: the legacy engine and Options.LegacyEngine are gone, and with them
 // the legacy_engine key field; every key's canonical form changed.
-const cacheSchemaVersion = 7
+//
+// 8: Options.PrefetchInsertMRU and Options.OpenPageFirst are gone, and
+// with them the prefetch_insert_mru and open_page_first key lines; each
+// setting keys once, as l2.mru and mem.open_page_first.
+const cacheSchemaVersion = 8
 
 // SchemaVersion reports the store's cell schema version. Fleet
 // dashboards compare it across servers (via the build-info gauge) to
@@ -101,11 +105,9 @@ func canonicalize(bench string, sc core.Scheme, opt core.Options, progHash uint6
 	set("policy", opt.Policy.String())
 	set("max_instrs", opt.MaxInstrs)
 	set("disable_prioritizer", opt.DisablePrioritizer)
-	set("prefetch_insert_mru", opt.PrefetchInsertMRU)
 	set("srp_fifo", opt.SRPFIFO)
 	set("srp_region_blocks", opt.SRPRegionBlocks)
 	set("recursion_depth", opt.RecursionDepth)
-	set("open_page_first", opt.OpenPageFirst)
 	set("metrics", opt.Metrics)
 	set("sample_interval", opt.SampleInterval)
 	set("attrib", opt.Attrib)

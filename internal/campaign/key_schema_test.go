@@ -33,6 +33,12 @@ const schema5McfGRPVarDigest = "4b253fd98e815b2a4a52522357551db70264f07354f85c63
 // legacy_engine key field were deleted. The schema bump to 7 retires it.
 const schema6McfGRPVarDigest = "2d2bd6a9e13ed684fcce55220e78ebca1d3737b6ff50fc66e09d0dcee23d2f56"
 
+// schema7McfGRPVarDigest is the same cell's content address under cache
+// schema 7, recorded immediately before Options.PrefetchInsertMRU and
+// Options.OpenPageFirst and their key lines were deleted. The schema bump
+// to 8 retires it.
+const schema7McfGRPVarDigest = "00a8b449116c77c4390820c5dedf1a97b98e54aa786758bfd66f5e0c5f87679d"
+
 // TestSchemaBumpRetiresOldKeys recomputes the (mcf, grp/var, Test) key
 // with today's canonicalization — same recipe that recorded the schema-2
 // digest — and demands it moved. If this fails, either the schema was
@@ -59,6 +65,9 @@ func TestSchemaBumpRetiresOldKeys(t *testing.T) {
 	}
 	if k.Digest == schema6McfGRPVarDigest {
 		t.Fatalf("(mcf, grp/var, Test) still maps to its schema-6 digest %s; cells keyed with legacy_engine would hit", k.Digest)
+	}
+	if k.Digest == schema7McfGRPVarDigest {
+		t.Fatalf("(mcf, grp/var, Test) still maps to its schema-7 digest %s; cells keyed with two spellings per setting would hit", k.Digest)
 	}
 }
 

@@ -329,7 +329,7 @@ var axisSetters = map[string]func(*core.Options, string) error{
 		if err != nil {
 			return err
 		}
-		o.OpenPageFirst = b
+		ensureMem(o).OpenPageFirst = b
 		return nil
 	},
 	"mru": func(o *core.Options, v string) error {
@@ -337,7 +337,7 @@ var axisSetters = map[string]func(*core.Options, string) error{
 		if err != nil {
 			return err
 		}
-		o.PrefetchInsertMRU = b
+		ensureMem(o).L2.PrefetchInsertMRU = b
 		return nil
 	},
 	"noprior": func(o *core.Options, v string) error {

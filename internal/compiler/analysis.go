@@ -150,16 +150,6 @@ type loopInfo struct {
 	refs           []*refSite // refs whose innermost loop is this one
 }
 
-func (l *loopInfo) vars() []string {
-	var vs []string
-	for c := l; c != nil; c = c.parent {
-		if c.forStmt != nil {
-			vs = append(vs, c.forStmt.Var)
-		}
-	}
-	return vs
-}
-
 func (l *loopInfo) root() *loopInfo {
 	c := l
 	for c.parent != nil {

@@ -83,13 +83,8 @@ type fixup struct {
 	label string
 }
 
-// Compile lowers an analyzed program to the ISA. The layout must come from
-// Place on the same program.
-func Compile(p *lang.Program, layout *Layout, an *Annotations) (*isa.Program, error) {
-	return CompileWithOptions(p, layout, an, CodegenOptions{})
-}
-
-// CompileWithOptions is Compile with backend options.
+// CompileWithOptions lowers an analyzed program to the ISA with backend
+// options. The layout must come from Place on the same program.
 func CompileWithOptions(p *lang.Program, layout *Layout, an *Annotations, opts CodegenOptions) (*isa.Program, error) {
 	if opts.SWPrefetchIters <= 0 {
 		opts.SWPrefetchIters = 16

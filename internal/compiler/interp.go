@@ -41,9 +41,6 @@ func (ip *Interp) Run() error {
 	return ip.stmts(ip.prog.Body)
 }
 
-// Scalar returns a scalar's final value.
-func (ip *Interp) Scalar(name string) uint64 { return ip.scalars[name] }
-
 // Steps returns how many interpreter steps Run consumed; the conformance
 // harness uses it to derive a simulated-instruction budget for the same
 // program.

@@ -102,7 +102,7 @@ type Failure struct {
 	Seed    int64
 	Scheme  core.Scheme
 	Variant string // "" for the fault-free pass
-	Kind    string // run-error, no-halt, oracle-divergence, scheme-divergence, metric, attrib, cycle-bound, ideal-port, idle-corunner
+	Kind    string // run-error, no-halt, oracle-divergence, scheme-divergence, arch-divergence, metric, attrib, cycle-bound, ideal-port, idle-corunner
 	Detail  string
 }
 
@@ -183,7 +183,11 @@ func (r *Report) Summary() string {
 // Run checks cfg.N generated programs on up to cfg.Jobs workers. Each
 // worker generates its own program from its seed and runs that program's
 // cells serially, so parallelism never reorders anything observable.
-func Run(cfg Config) (*Report, error) {
+func Run(cfg Config) (*Report, error) { return run(cfg, CheckSeed) }
+
+// run fans cfg.N seeds out to check on the worker pool, serializing the
+// progress callback; Run and RunCoRun differ only in check.
+func run(cfg Config, check func(Config, int64) *ProgramReport) (*Report, error) {
 	if cfg.N <= 0 {
 		cfg.N = 1
 	}
@@ -205,7 +209,7 @@ func Run(cfg Config) (*Report, error) {
 		if cfg.OnProgramStart != nil {
 			cfg.OnProgramStart()
 		}
-		pr := CheckSeed(cfg, cfg.Seed+int64(i))
+		pr := check(cfg, cfg.Seed+int64(i))
 		rep.Programs[i] = *pr
 		progress(len(pr.Failures))
 		return nil
@@ -331,9 +335,8 @@ func CheckWorkload(cfg Config, seed int64, w *progen.Workload) *ProgramReport {
 			}
 			checkMetrics(r, ref, fail, sc, v.Name)
 			clean = append(clean, namedResult{r: r, variant: v.Name})
-			// The idle co-runner relation, on fault-free cells; a co-run
-			// refuses the fill tamper.
-			if v.Plan == nil && cfg.Tamper == nil {
+			// The idle co-runner relation, on fault-free cells.
+			if v.Plan == nil {
 				pr.Relations++
 				diffs, err := coRunnerDiff(spec, idleSpec, sc, cellOptions(nil), r)
 				switch {

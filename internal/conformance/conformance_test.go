@@ -72,6 +72,9 @@ func corruptFill(m *mem.Memory, block uint64) {
 // TestTamperCaught checks the harness detects the seeded known-bad
 // mutation: prefetching schemes must report oracle divergence, and the
 // no-prefetch baseline must stay clean (its fills are all demand fills).
+// The timing relations still run under the tamper: the ideal port once
+// per program and the idle co-runner on every cell that matched the
+// oracle, since a co-run's core 0 carries the tamper as a solo run does.
 func TestTamperCaught(t *testing.T) {
 	rep, err := Run(Config{N: 2, Seed: 1, Tamper: corruptFill})
 	if err != nil {
@@ -92,6 +95,12 @@ func TestTamperCaught(t *testing.T) {
 	}
 	if prefetching == 0 {
 		t.Fatal("no prefetching scheme reported divergence")
+	}
+	for _, p := range rep.Programs {
+		if want := 1 + len(DefaultSchemes()) - len(p.Failures); !p.Skipped && p.Relations != want {
+			t.Errorf("seed %d ran %d relation runs under the tamper, want %d (ideal port + %d clean cells)",
+				p.Seed, p.Relations, want, want-1)
+		}
 	}
 }
 

@@ -3,9 +3,7 @@ package conformance
 import (
 	"fmt"
 	"reflect"
-	"strings"
 
-	"grp/internal/campaign"
 	"grp/internal/core"
 	"grp/internal/progen"
 	"grp/internal/workloads"
@@ -19,127 +17,20 @@ import (
 // starvation bound) intact. Solo runs are one-core co-runs of the same
 // engine; its timing referees are the relations of referee.go.
 
-// CoRunConfig parameterizes a co-run conformance campaign.
-type CoRunConfig struct {
-	// N is how many generated programs to check; Seed seeds the first
-	// (program i uses Seed+i). Jobs is the worker-pool width.
-	N    int
-	Seed int64
-	Jobs int
-	// Schemes to check; nil uses the realistic set (DefaultSchemes).
-	Schemes []core.Scheme
-	// MaxSteps bounds the interpreter oracle (default 300k); programs
-	// exceeding it are skipped, as in the main harness.
-	MaxSteps int
-	// Progress, when non-nil, is called after each checked program.
-	// Serialized.
-	Progress func(done, total, failed int)
-}
-
-// CoRunFailure is one invariance violation.
-type CoRunFailure struct {
-	Seed   int64
-	Scheme core.Scheme
-	Kind   string // run-error, arch-divergence, cycle-bound
-	Detail string
-}
-
-func (f CoRunFailure) String() string {
-	return fmt.Sprintf("seed %d %s: %s: %s", f.Seed, f.Scheme, f.Kind, f.Detail)
-}
-
-// CoRunProgramReport is the outcome of checking one generated program.
-type CoRunProgramReport struct {
-	Seed       int64
-	Skipped    bool
-	SkipReason string
-	Cells      int
-	Failures   []CoRunFailure
-}
-
-// CoRunReport aggregates a co-run conformance campaign.
-type CoRunReport struct {
-	Programs []CoRunProgramReport
-}
-
-// Failed reports whether any program failed.
-func (r *CoRunReport) Failed() bool {
-	for _, p := range r.Programs {
-		if len(p.Failures) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Failures collects every failure in seed order.
-func (r *CoRunReport) Failures() []CoRunFailure {
-	var out []CoRunFailure
-	for _, p := range r.Programs {
-		out = append(out, p.Failures...)
-	}
-	return out
-}
-
-// Summary renders the deterministic campaign summary.
-func (r *CoRunReport) Summary() string {
-	var cells, skipped int
-	for _, p := range r.Programs {
-		cells += p.Cells
-		if p.Skipped {
-			skipped++
-		}
-	}
-	fails := r.Failures()
-	var b strings.Builder
-	fmt.Fprintf(&b, "corun-conformance: %d programs, %d cells, %d skipped, %d failures\n",
-		len(r.Programs), cells, skipped, len(fails))
-	for _, f := range fails {
-		fmt.Fprintf(&b, "  FAIL %s\n", f)
-	}
-	return b.String()
-}
-
 // RunCoRun checks cfg.N generated programs through the co-run battery on
-// up to cfg.Jobs workers.
-func RunCoRun(cfg CoRunConfig) (*CoRunReport, error) {
-	if cfg.N <= 0 {
-		cfg.N = 1
-	}
-	rep := &CoRunReport{Programs: make([]CoRunProgramReport, cfg.N)}
-	var done, failed int
-	progress := func(failures int) {}
-	if cfg.Progress != nil {
-		mu := make(chan struct{}, 1)
-		mu <- struct{}{}
-		progress = func(failures int) {
-			<-mu
-			done++
-			failed += failures
-			cfg.Progress(done, cfg.N, failed)
-			mu <- struct{}{}
-		}
-	}
-	err := campaign.ParallelFor(nil, cfg.N, cfg.Jobs, func(i int) error {
-		pr := CheckCoRunSeed(cfg, cfg.Seed+int64(i))
-		rep.Programs[i] = *pr
-		progress(len(pr.Failures))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
+// Run's worker pool. The battery reads N, Seed, Jobs, Schemes, Base, Gen,
+// MaxSteps and the callbacks; it runs no fault variant and no tamper.
+func RunCoRun(cfg Config) (*Report, error) { return run(cfg, CheckCoRunSeed) }
 
-// CheckCoRunSeed generates one program and runs it through the battery.
-func CheckCoRunSeed(cfg CoRunConfig, seed int64) *CoRunProgramReport {
-	pr := &CoRunProgramReport{Seed: seed}
+// CheckCoRunSeed generates one program and runs it through the battery:
+// two cells per scheme, the solo run and the 2-core self-co-run.
+func CheckCoRunSeed(cfg Config, seed int64) *ProgramReport {
+	pr := &ProgramReport{Seed: seed}
 	fail := func(sc core.Scheme, kind, detail string) {
-		pr.Failures = append(pr.Failures, CoRunFailure{Seed: seed, Scheme: sc, Kind: kind, Detail: detail})
+		pr.Failures = append(pr.Failures, Failure{Seed: seed, Scheme: sc, Kind: kind, Detail: detail})
 	}
 
-	w := progen.Generate(seed, progen.Config{})
+	w := progen.Generate(seed, cfg.Gen)
 	if err := w.Prog.Validate(); err != nil {
 		fail(core.NoPrefetch, "run-error", fmt.Sprintf("generator produced invalid program: %v", err))
 		return pr
@@ -152,13 +43,16 @@ func CheckCoRunSeed(cfg CoRunConfig, seed int64) *CoRunProgramReport {
 		pr.SkipReason = err.Error()
 		return pr
 	}
+	pr.Steps = orc.Steps
 	spec := orc.Spec
 
 	schemes := cfg.Schemes
 	if schemes == nil {
 		schemes = DefaultSchemes()
 	}
-	opt := core.Options{Attrib: true, CheckInvariants: true}
+	opt := cloneOptions(cfg.Base)
+	opt.Attrib = true
+	opt.CheckInvariants = true
 
 	for _, sc := range schemes {
 		pr.Cells += 2

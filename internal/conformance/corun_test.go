@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestCoRunPairInvarianceFleet(t *testing.T) {
 	if testing.Short() {
 		n = 10
 	}
-	rep, err := RunCoRun(CoRunConfig{
+	rep, err := RunCoRun(Config{
 		N:    n,
 		Seed: 101,
 		Jobs: 4,
@@ -28,6 +29,34 @@ func TestCoRunPairInvarianceFleet(t *testing.T) {
 	}
 	if rep.Failed() {
 		t.Fatalf("2-core co-run broke an invariance:\n%s", rep.Summary())
+	}
+}
+
+// TestSelfCoRunArtifacts pins the co-run battery's known failures over
+// seeds 1-200, the fleet grpconform checks by default: two grp/fix
+// programs whose core 1 beats its solo run beside an identical twin
+// (7,731 cycles against 8,957, and 20,867 against 23,506), while core 0
+// runs slower than solo in the same pairs. This is the co-run interleave
+// artifact: the core that steps next is chosen by last-commit cycle, a
+// host-side order, and every core's requests are clamped to its
+// co-runner's latest submission. The frontier interleave for co-runs
+// (ROADMAP item 5, step 3) empties the list; until then a new failure,
+// or a changed count, fails here.
+func TestSelfCoRunArtifacts(t *testing.T) {
+	rep, err := RunCoRun(Config{N: 200, Seed: 1, Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"seed 21 grp/fix/nofault: cycle-bound: 2-core core 1 finished in 7731 cycles, solo took 8957 — contention cannot speed a core up",
+		"seed 83 grp/fix/nofault: cycle-bound: 2-core core 1 finished in 20867 cycles, solo took 23506 — contention cannot speed a core up",
+	}
+	var got []string
+	for _, f := range rep.Failures() {
+		got = append(got, f.String())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("self-co-run failures over seeds 1-200 changed:\n%s", rep.Summary())
 	}
 }
 
@@ -41,7 +70,7 @@ func TestTamperedArbiterCaught(t *testing.T) {
 	sim.SetArbiterTamper(func(c int) bool { return c == 1 })
 	defer sim.SetArbiterTamper(nil)
 
-	rep, err := RunCoRun(CoRunConfig{
+	rep, err := RunCoRun(Config{
 		N:       10,
 		Seed:    1,
 		Schemes: []core.Scheme{core.GRPVar},
@@ -68,7 +97,7 @@ func TestTamperedArbiterCaught(t *testing.T) {
 	// The same fleet with the tamper removed is clean — the failures
 	// above are the tamper's, not the engine's.
 	sim.SetArbiterTamper(nil)
-	rep, err = RunCoRun(CoRunConfig{
+	rep, err = RunCoRun(Config{
 		N:       10,
 		Seed:    1,
 		Schemes: []core.Scheme{core.GRPVar},

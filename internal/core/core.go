@@ -118,9 +118,6 @@ type Options struct {
 	MaxInstrs uint64
 	// DisablePrioritizer runs prefetches at demand priority (ablation).
 	DisablePrioritizer bool
-	// PrefetchInsertMRU inserts prefetch fills at MRU instead of the
-	// paper's LRU position (ablation).
-	PrefetchInsertMRU bool
 	// SRPFIFO issues prefetch regions oldest-first instead of the
 	// hardware's LIFO scheduling (ablation; SRP scheme only).
 	SRPFIFO bool
@@ -129,21 +126,19 @@ type Options struct {
 	SRPRegionBlocks int
 	// RecursionDepth overrides GRP's recursive chase depth when nonzero.
 	RecursionDepth uint8
-	// OpenPageFirst enables the paper's open-page-first prefetch issue
-	// optimization (off by default, matching the main evaluation).
-	OpenPageFirst bool
 	// Metrics enables the telemetry layer: a per-run registry of
-	// counters/gauges/latency histograms plus the cycle-driven sampler,
+	// gauges and latency histograms plus the cycle-driven sampler,
 	// snapshotted into Result.Metrics after the run. Off by default; a
-	// run without it pays no instrumentation cost. It describes one core,
-	// so co-runs of two or more cores reject it, as they reject Timeline
-	// and TamperPrefetchFill.
+	// run without it pays no instrumentation cost. In a co-run it
+	// observes core 0, whose Result alone carries the snapshot.
 	Metrics bool
 	// SampleInterval is the sampler period in cycles when Metrics is set
 	// (0 uses the sampler default of 4096).
 	SampleInterval uint64
 	// Timeline, when non-nil, receives per-event spans (demand misses,
-	// prefetch lifetimes, DRAM bank activity) for Perfetto export.
+	// prefetch lifetimes, DRAM bank activity) for Perfetto export. In a
+	// co-run it receives core 0's spans and the shared DRAM's bank spans,
+	// co-runners' traffic included.
 	Timeline *trace.Timeline
 	// Attrib attaches the prefetch lifecycle attribution ledger: every
 	// issued prefetch is followed to a terminal outcome class and the
@@ -168,8 +163,9 @@ type Options struct {
 	// memory and the block address of every prefetch fill as it lands in
 	// the L2. It exists solely so the conformance harness can model a
 	// broken prefetch data path (a known-bad mutation its differential
-	// check must catch). Never set outside tests; runs with it set bypass
-	// the campaign result cache's semantics, so the cache key records it.
+	// check must catch). In a co-run it sees core 0's fills and memory.
+	// Never set outside tests; runs with it set bypass the campaign
+	// result cache's semantics, so the cache key records it.
 	TamperPrefetchFill func(m *mem.Memory, block uint64)
 	// Cancel, when non-nil, is polled from the CPU commit loop (every few
 	// thousand instructions); a non-nil return aborts the run with that
@@ -354,12 +350,6 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 	case PerfectL2:
 		memCfg.L2.Perfect = true
 	}
-	if opt.PrefetchInsertMRU {
-		memCfg.L2.PrefetchInsertMRU = true
-	}
-	if opt.OpenPageFirst {
-		memCfg.OpenPageFirst = true
-	}
 
 	ms, err := sim.NewCoRunSystem(memCfg, engines)
 	if err != nil {
@@ -371,9 +361,9 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 	if opt.DisablePrioritizer {
 		ms.SetPrioritizer(false)
 	}
-	// Faults are armed before telemetry so the sinks observe the wrapped
-	// engines; the watchdog is always on (its defaults never fire on a
-	// healthy run).
+	// Faults are armed before the ports' instruments so the sinks observe
+	// the wrapped engines; the watchdog is always on (its defaults never
+	// fire on a healthy run).
 	if opt.Faults.Active() {
 		ms.SetFaults(faults.NewInjector(opt.Faults))
 	}
@@ -385,28 +375,30 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 	if opt.CheckInvariants {
 		ms.EnableInvariantChecks(opt.InvariantEvery)
 	}
-	// The single-core instruments (validateCoRun rejects them on more
-	// cores) observe core 0.
-	if opt.TamperPrefetchFill != nil {
-		m := states[0].m
-		ms.SetFillTamper(func(block uint64) { opt.TamperPrefetchFill(m, block) })
-	}
 	var reg *metrics.Registry
 	var smp *metrics.Sampler
 	if opt.Metrics {
 		reg = metrics.NewRegistry()
 		smp = metrics.NewSampler(opt.SampleInterval)
 	}
-	if reg != nil || opt.Timeline != nil {
-		ms.AttachTelemetry(reg, smp, opt.Timeline)
-	}
 
 	for i := range states {
 		st := &states[i]
+		// Every core gets its own ledger. A cell's Result is core 0's
+		// view, so core 0 carries the telemetry, timeline and tamper.
+		var in sim.Instruments
 		if opt.Attrib {
 			st.ledger = attrib.NewLedger()
-			st.port.AttachLedger(st.ledger)
+			in.Ledger = st.ledger
 		}
+		if i == 0 {
+			in.Registry, in.Sampler, in.Timeline = reg, smp, opt.Timeline
+			if tamper := opt.TamperPrefetchFill; tamper != nil {
+				m := st.m
+				in.Tamper = func(block uint64) { tamper(m, block) }
+			}
+		}
+		st.port.Attach(in)
 		cpuCfg := cpu.Default()
 		if opt.CPU != nil {
 			cpuCfg = *opt.CPU
@@ -421,19 +413,19 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 			return nil, fmt.Errorf("core: building core %d: %w", i, err)
 		}
 		st.core = c
-	}
-	if reg != nil {
-		c := states[0].core
-		c.RegisterMetrics(reg)
-		// IPC joins the sampler's series; the probes fire from inside the
-		// memory system, so they see the core's live commit progress.
-		smp.Watch("cpu.ipc", func() float64 {
-			i, cy := c.Progress()
-			if cy == 0 {
-				return 0
-			}
-			return float64(i) / float64(cy)
-		})
+		if in.Registry != nil {
+			c.RegisterMetrics(reg)
+			// IPC joins the sampler's series; the probes fire from inside
+			// the memory system, so they see the core's live commit
+			// progress.
+			smp.Watch("cpu.ipc", func() float64 {
+				instrs, cy := c.Progress()
+				if cy == 0 {
+					return 0
+				}
+				return float64(instrs) / float64(cy)
+			})
+		}
 	}
 
 	// Watchdog and invariant aborts surface from deep inside the timing
@@ -519,11 +511,13 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 			PF:           st.engine.Stats(),
 			TrafficBytes: dc.TrafficBytes(),
 			Hints:        st.prog.CountHints(),
-			Metrics:      snap,
 			ArchDigest:   archDigest(st.core, cres, md),
 			MemDigest:    md,
 			FaultCounts:  ms.FaultCounts(),
 			Attrib:       summary,
+		}
+		if i == 0 {
+			r.Metrics = snap
 		}
 		if coRun {
 			r.CoRun = &CoRunInfo{

@@ -46,26 +46,6 @@ type CoRunResult struct {
 	Slowdown   []float64
 }
 
-// validateCoRun rejects option combinations a co-run of n cores does not
-// support. Telemetry, timelines and the fill tamper hook describe a
-// single core, so they need n = 1; everything else
-// (ablations, fault injection, attribution, invariant checking, watchdog,
-// cancellation) carries over.
-func validateCoRun(opt Options, n int) error {
-	if n < 2 {
-		return nil
-	}
-	switch {
-	case opt.Metrics:
-		return fmt.Errorf("core: co-run does not support the telemetry layer")
-	case opt.Timeline != nil:
-		return fmt.Errorf("core: co-run does not support timeline capture")
-	case opt.TamperPrefetchFill != nil:
-		return fmt.Errorf("core: co-run does not support the fill tamper hook")
-	}
-	return nil
-}
-
 // RunCoRun simulates len(benches) cores, each running one benchmark
 // under the given scheme, over a shared L2 and DRAM (see runCores). Each
 // core keeps a private functional memory, compiled program, L1, prefetch
@@ -76,7 +56,9 @@ func validateCoRun(opt Options, n int) error {
 // A fault plan arms one injector for the whole system: every core's
 // Result.FaultCounts reports its shared totals (as L2, Dram and
 // TrafficBytes report the shared fabric's), while each core's cancelled
-// prefetches stay in its own Mem.PrefetchesCancelled.
+// prefetches stay in its own Mem.PrefetchesCancelled. Attribution gives
+// every core its own ledger; telemetry, the timeline and the fill tamper
+// observe core 0, so only core 0's Result carries a Metrics snapshot.
 func RunCoRun(benches []string, scheme Scheme, opt Options) (*CoRunResult, error) {
 	specs := make([]*workloads.Spec, len(benches))
 	for i, bench := range benches {
@@ -99,9 +81,6 @@ func RunCoRunSpecs(specs []*workloads.Spec, scheme Scheme, opt Options) (*CoRunR
 	if err := opt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := validateCoRun(opt, len(specs)); err != nil {
-		return nil, err
-	}
 	rs, err := runCores(specs, scheme, opt, true, engineFor)
 	if err != nil {
 		return nil, err
@@ -112,9 +91,13 @@ func RunCoRunSpecs(specs []*workloads.Spec, scheme Scheme, opt Options) (*CoRunR
 // ComputeSlowdowns runs each co-run workload solo under the same scheme
 // and options and fills SoloCycles and Slowdown (co-run cycles over solo
 // cycles, per core). Solo runs are full simulations; drivers that only
-// need the co-run itself skip this.
+// need the co-run itself skip this. The references run without a
+// timeline or telemetry, so they neither append to core 0's timeline nor
+// pay for a snapshot nobody reads.
 func (cr *CoRunResult) ComputeSlowdowns(opt Options) error {
 	opt.CoRun = nil
+	opt.Timeline = nil
+	opt.Metrics = false
 	cr.SoloCycles = make([]uint64, len(cr.Results))
 	cr.Slowdown = make([]float64, len(cr.Results))
 	for i, r := range cr.Results {

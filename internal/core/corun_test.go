@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
+	"grp/internal/compiler"
 	"grp/internal/faults"
+	"grp/internal/lang"
+	"grp/internal/mem"
 	"grp/internal/sim"
+	"grp/internal/trace"
 	"grp/internal/workloads"
 )
 
@@ -162,26 +166,86 @@ func TestCoRunSlowdowns(t *testing.T) {
 	}
 }
 
-// TestCoRunRejectsUnsupportedOptions: the single-core instruments fail
-// fast with a named error instead of silently misbehaving, and fault
-// injection, which serves the whole system, is accepted.
-func TestCoRunRejectsUnsupportedOptions(t *testing.T) {
-	cases := []struct {
-		name string
-		opt  Options
-		want string
-	}{
-		{"metrics", Options{Factor: workloads.Test, Metrics: true}, "telemetry"},
+// TestCoRunAcceptsEveryOption: a co-run takes every option a solo run
+// does. Telemetry observes core 0, so core 0's Result carries the
+// snapshot and core 1's none, and fault injection, which serves the
+// whole system, is accepted.
+func TestCoRunAcceptsEveryOption(t *testing.T) {
+	cr, err := RunCoRun([]string{"mcf", "art"}, GRPVar, Options{Factor: workloads.Test, Metrics: true})
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
 	}
-	for _, tc := range cases {
-		_, err := RunCoRun([]string{"mcf", "art"}, GRPVar, tc.opt)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: error = %v, want mention of %q", tc.name, err, tc.want)
-		}
+	if s := cr.Results[0].Metrics; s == nil || s.Histogram(sim.HistDemandMissLatency) == nil {
+		t.Fatalf("core 0 has no metrics snapshot with the demand-miss histogram: %+v", s)
+	}
+	if s := cr.Results[1].Metrics; s != nil {
+		t.Fatalf("core 1 carries a metrics snapshot; telemetry observes core 0 only")
 	}
 	opt := Options{Factor: workloads.Test, Faults: &faults.Plan{Seed: 1, DelayFill: 1, DelayFillCycles: 4}}
 	if _, err := RunCoRun([]string{"mcf", "art"}, GRPVar, opt); err != nil {
 		t.Fatalf("faults: co-run rejected a fault plan: %v", err)
+	}
+}
+
+// idleSpec is a co-runner that halts at once and makes no memory access.
+var idleSpec = &workloads.Spec{
+	Name: "idle",
+	Build: func(workloads.Factor) *workloads.Built {
+		return &workloads.Built{Prog: &lang.Program{Name: "idle"}, Init: func(*mem.Memory, *compiler.Layout) {}}
+	},
+}
+
+// TestCoRunInstrumentsMatchSolo: the per-core instruments attach to core
+// 0's port, so beside an idle core, core 0 with telemetry, a timeline,
+// the ledger and a fill tamper attached is the solo run under the same
+// options: every Result field, the metrics snapshot included, and a
+// byte-identical timeline. The tamper corrupts each prefetched block, so
+// a fill routed to the wrong core or block would change the digests.
+func TestCoRunInstrumentsMatchSolo(t *testing.T) {
+	for _, bench := range []string{"mcf", "swim", "twolf"} {
+		spec, err := workloads.ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(specs ...*workloads.Spec) (*Result, []byte, int) {
+			t.Helper()
+			tl := trace.NewTimeline()
+			tampered := 0
+			opt := Options{
+				Factor: workloads.Test, Metrics: true, SampleInterval: 1024, Timeline: tl, Attrib: true,
+				TamperPrefetchFill: func(m *mem.Memory, block uint64) {
+					tampered++
+					m.Write64(block, m.Read64(block)^1)
+				},
+			}
+			cr, err := RunCoRunSpecs(specs, GRPVar, opt)
+			if err != nil {
+				t.Fatalf("%s on %d cores: %v", bench, len(specs), err)
+			}
+			var buf bytes.Buffer
+			if err := tl.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			r := cr.Results[0]
+			r.CoRun = nil
+			return r, buf.Bytes(), tampered
+		}
+		solo, soloTL, soloTampered := run(spec)
+		pair, pairTL, pairTampered := run(spec, idleSpec)
+		if soloTampered == 0 || solo.Metrics == nil || len(soloTL) == 0 {
+			t.Fatalf("%s: solo run observed nothing: %d tampered fills, metrics %v, %d timeline bytes",
+				bench, soloTampered, solo.Metrics != nil, len(soloTL))
+		}
+		if pairTampered != soloTampered {
+			t.Errorf("%s: tamper saw %d fills beside an idle core, %d solo", bench, pairTampered, soloTampered)
+		}
+		if !reflect.DeepEqual(solo, pair) {
+			t.Errorf("%s: core 0 beside an idle core differs from solo:\nsolo:  %+v\ncorun: %+v", bench, *solo, *pair)
+		}
+		if !bytes.Equal(soloTL, pairTL) {
+			t.Errorf("%s: core 0's timeline beside an idle core (%d bytes) differs from solo (%d bytes)",
+				bench, len(pairTL), len(soloTL))
+		}
 	}
 }
 

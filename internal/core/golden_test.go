@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"grp/internal/faults"
+	"grp/internal/sim"
 	"grp/internal/workloads"
 )
 
@@ -45,11 +46,18 @@ var goldenVariants = []struct {
 }{
 	{"fifo", "mcf", SRP, func(o *Options) { o.SRPFIFO = true }},
 	{"region16", "wupwise", SRP, func(o *Options) { o.SRPRegionBlocks = 16 }},
-	{"openpage", "wupwise", SRP, func(o *Options) { o.OpenPageFirst = true }},
-	{"openpage", "mcf", GRPVar, func(o *Options) { o.OpenPageFirst = true }},
-	{"openpage", "parser", PointerOnly, func(o *Options) { o.OpenPageFirst = true }},
+	{"openpage", "wupwise", SRP, openPageFirst},
+	{"openpage", "mcf", GRPVar, openPageFirst},
+	{"openpage", "parser", PointerOnly, openPageFirst},
 	{"depth1", "mcf", GRPVar, func(o *Options) { o.RecursionDepth = 1 }},
 	{"drop-hint", "twolf", GRPAdaptive, func(o *Options) { o.Faults = &faults.Plan{Seed: 7, DropHint: 0.95} }},
+}
+
+// openPageFirst turns on open-page-first prefetch issue.
+func openPageFirst(o *Options) {
+	m := sim.DefaultMemConfig()
+	m.OpenPageFirst = true
+	o.Mem = &m
 }
 
 // goldenSnapshot is one committed cell snapshot. Digests are hex strings

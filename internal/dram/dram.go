@@ -155,9 +155,6 @@ func New(cfg Config) (*Controller, error) {
 // Stats returns a snapshot of the accumulated statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Map decomposes a block address into channel, bank, and row. Consecutive
 // blocks round-robin across channels; consecutive channel-local blocks fill
 // a row before moving to the next bank.

@@ -157,9 +157,6 @@ func NewInjector(p *Plan) *Injector {
 	return in
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Counts returns the faults injected so far.
 func (in *Injector) Counts() Counts { return in.counts }
 

@@ -36,7 +36,6 @@ type HistogramSnapshot struct {
 // Snapshot is a frozen view of a registry and sampler, suitable for JSON
 // export and for attaching to a run result after the simulation finishes.
 type Snapshot struct {
-	Counters       map[string]uint64   `json:"counters,omitempty"`
 	Gauges         map[string]float64  `json:"gauges,omitempty"`
 	Histograms     []HistogramSnapshot `json:"histograms,omitempty"`
 	SampleInterval uint64              `json:"sample_interval,omitempty"`
@@ -47,10 +46,7 @@ type Snapshot struct {
 // Snapshot. Gauge probes are invoked once, so a snapshot taken after the
 // run captures final component state.
 func Snap(r *Registry, s *Sampler) *Snapshot {
-	snap := &Snapshot{
-		Counters: map[string]uint64{},
-		Gauges:   map[string]float64{},
-	}
+	snap := &Snapshot{Gauges: map[string]float64{}}
 	if r != nil {
 		r.mu.Lock()
 		names := make([]string, 0, len(r.entries))
@@ -65,8 +61,6 @@ func Snap(r *Registry, s *Sampler) *Snapshot {
 			e := r.entries[n]
 			r.mu.Unlock()
 			switch e.kind {
-			case KindCounter:
-				snap.Counters[n] = e.c.Value()
 			case KindGauge:
 				snap.Gauges[n] = e.g.Value()
 			case KindHistogram:

@@ -1,16 +1,16 @@
 // Package metrics is the simulator's telemetry layer: a lightweight
-// registry of named counters, gauges, and fixed-bucket histograms, plus a
-// cycle-driven sampler that snapshots selected series into an in-memory
-// time series (see sampler.go) and structured JSON/CSV exporters (see
+// registry of named probe-backed gauges and fixed-bucket histograms, plus
+// a cycle-driven sampler that snapshots selected series into an in-memory
+// time series (see sampler.go) and a structured JSON exporter (see
 // export.go).
 //
 // The design goal is zero cost on the simulator's hot path when telemetry
 // is not attached: components hold nil pointers and guard instrumentation
 // behind a single nil check, and Histogram.Observe is nil-safe so call
-// sites need no guard of their own. Counters and histograms are plain
-// (non-atomic) — the simulation is single-goroutine — while the registry
-// itself is mutex-guarded so registration and snapshotting are safe from
-// auxiliary goroutines (exporters, tests under -race).
+// sites need no guard of their own. Histograms are plain (non-atomic) —
+// the simulation is single-goroutine — while the registry itself is
+// mutex-guarded so registration and snapshotting are safe from auxiliary
+// goroutines (exporters, tests under -race).
 package metrics
 
 import (
@@ -18,29 +18,6 @@ import (
 	"sort"
 	"sync"
 )
-
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	v uint64
-}
-
-// Add increments the counter by n. Safe on a nil receiver (no-op).
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Inc increments the counter by one. Safe on a nil receiver.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
 
 // Gauge is a probe-backed instantaneous value: reading the gauge invokes
 // the probe, so gauges always report live component state and cost nothing
@@ -84,15 +61,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
-}
-
-// LinearBuckets returns n ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + width*float64(i)
-	}
-	return out
 }
 
 // ExponentialBuckets returns n ascending bounds start, start*factor, ...
@@ -201,16 +169,13 @@ type Kind uint8
 
 // Registry entry kinds.
 const (
-	KindCounter Kind = iota
-	KindGauge
+	KindGauge Kind = iota
 	KindHistogram
 )
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {
-	case KindCounter:
-		return "counter"
 	case KindGauge:
 		return "gauge"
 	case KindHistogram:
@@ -221,12 +186,11 @@ func (k Kind) String() string {
 
 type entry struct {
 	kind Kind
-	c    *Counter
 	g    *Gauge
 	h    *Histogram
 }
 
-// Registry is a named collection of counters, gauges, and histograms.
+// Registry is a named collection of gauges and histograms.
 // Registration rejects duplicate names regardless of kind: every series
 // name identifies exactly one instrument, so exports cannot silently
 // shadow one series with another.
@@ -253,15 +217,6 @@ func (r *Registry) register(name string, e entry) error {
 	return nil
 }
 
-// Counter registers a new counter under name.
-func (r *Registry) Counter(name string) (*Counter, error) {
-	c := &Counter{}
-	if err := r.register(name, entry{kind: KindCounter, c: c}); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // Gauge registers a probe-backed gauge under name.
 func (r *Registry) Gauge(name string, probe func() float64) (*Gauge, error) {
 	g := &Gauge{probe: probe}
@@ -280,17 +235,8 @@ func (r *Registry) Histogram(name string, bounds []float64) (*Histogram, error) 
 	return h, nil
 }
 
-// MustCounter is Counter but panics on collision; for wiring code where a
+// MustGauge is Gauge but panics on collision; for wiring code where a
 // duplicate name is a programming error.
-func (r *Registry) MustCounter(name string) *Counter {
-	c, err := r.Counter(name)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// MustGauge is Gauge but panics on collision.
 func (r *Registry) MustGauge(name string, probe func() float64) *Gauge {
 	g, err := r.Gauge(name, probe)
 	if err != nil {
@@ -318,14 +264,4 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// GetHistogram returns the histogram registered under name, or nil.
-func (r *Registry) GetHistogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.entries[name].h
 }

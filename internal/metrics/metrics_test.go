@@ -37,7 +37,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(LinearBuckets(10, 10, 10)) // 10,20,...,100
+	h := NewHistogram([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
 	// 100 uniform observations 1..100: p50 ≈ 50, p90 ≈ 90, p99 ≈ 99.
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
@@ -94,22 +94,19 @@ func TestExponentialBuckets(t *testing.T) {
 
 func TestRegistryNameCollision(t *testing.T) {
 	r := NewRegistry()
-	if _, err := r.Counter("x"); err != nil {
-		t.Fatalf("first Counter: %v", err)
+	if _, err := r.Gauge("x", func() float64 { return 0 }); err != nil {
+		t.Fatalf("first Gauge: %v", err)
 	}
-	if _, err := r.Counter("x"); err == nil {
-		t.Error("duplicate counter name should error")
+	if _, err := r.Gauge("x", func() float64 { return 0 }); err == nil {
+		t.Error("duplicate gauge name should error")
 	}
 	// Collisions across kinds are also rejected.
-	if _, err := r.Gauge("x", func() float64 { return 0 }); err == nil {
-		t.Error("gauge colliding with counter should error")
-	} else if !strings.Contains(err.Error(), "counter") {
+	if _, err := r.Histogram("x", []float64{1}); err == nil {
+		t.Error("histogram colliding with gauge should error")
+	} else if !strings.Contains(err.Error(), "gauge") {
 		t.Errorf("collision error should name the existing kind: %v", err)
 	}
-	if _, err := r.Histogram("x", []float64{1}); err == nil {
-		t.Error("histogram colliding with counter should error")
-	}
-	if _, err := r.Counter(""); err == nil {
+	if _, err := r.Gauge("", func() float64 { return 0 }); err == nil {
 		t.Error("empty name should error")
 	}
 	if got := r.Names(); len(got) != 1 || got[0] != "x" {
@@ -207,11 +204,8 @@ func TestSamplerNilSafe(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSONAndCSV(t *testing.T) {
+func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
-	c := r.MustCounter("events")
-	c.Add(41)
-	c.Inc()
 	r.MustGauge("occupancy", func() float64 { return 7.5 })
 	h := r.MustHistogram("lat", ExponentialBuckets(16, 2, 8))
 	h.Observe(20)
@@ -224,9 +218,6 @@ func TestSnapshotJSONAndCSV(t *testing.T) {
 	s.Tick(200)
 
 	snap := Snap(r, s)
-	if snap.Counters["events"] != 42 {
-		t.Errorf("counter = %d, want 42", snap.Counters["events"])
-	}
 	if snap.Gauges["occupancy"] != 7.5 {
 		t.Errorf("gauge = %g, want 7.5", snap.Gauges["occupancy"])
 	}
@@ -250,17 +241,8 @@ func TestSnapshotJSONAndCSV(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("snapshot JSON does not round-trip: %v", err)
 	}
-	if back.Counters["events"] != 42 || len(back.Series) != 1 {
+	if back.Gauges["occupancy"] != 7.5 || len(back.Histograms) != 1 || len(back.Series) != 1 {
 		t.Errorf("round-trip mismatch: %+v", back)
-	}
-
-	var csv bytes.Buffer
-	if err := s.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 3 || lines[0] != "cycle,x" {
-		t.Errorf("CSV output unexpected:\n%s", csv.String())
 	}
 }
 

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // DefaultMaxSamples bounds the in-memory time series: when a run produces
 // more samples than this, the sampler decimates (drops every other sample
@@ -118,15 +115,6 @@ func (s *Sampler) Len() int {
 	return len(s.cycles)
 }
 
-// SeriesNames returns the watched series names in registration order.
-func (s *Sampler) SeriesNames() []string {
-	out := make([]string, len(s.series))
-	for i, w := range s.series {
-		out[i] = w.name
-	}
-	return out
-}
-
 // Samples returns the cycle axis and the values of the named series; ok is
 // false for an unknown name.
 func (s *Sampler) Samples(name string) (cycles []uint64, values []float64, ok bool) {
@@ -139,37 +127,4 @@ func (s *Sampler) Samples(name string) (cycles []uint64, values []float64, ok bo
 		}
 	}
 	return nil, nil, false
-}
-
-// WriteCSV emits the full time series as CSV: a header row of
-// "cycle,<series>..." followed by one row per sample.
-func (s *Sampler) WriteCSV(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	if _, err := io.WriteString(w, "cycle"); err != nil {
-		return err
-	}
-	for _, ser := range s.series {
-		if _, err := fmt.Fprintf(w, ",%s", ser.name); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
-	}
-	for i, cyc := range s.cycles {
-		if _, err := fmt.Fprintf(w, "%d", cyc); err != nil {
-			return err
-		}
-		for _, ser := range s.series {
-			if _, err := fmt.Fprintf(w, ",%g", ser.values[i]); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

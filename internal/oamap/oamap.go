@@ -145,134 +145,8 @@ func (t *U8) grow() {
 	}
 }
 
-// U64 maps uint64 keys to uint64 values (the attribution ledger's
-// region → last-missing-PC table, written on every demand L2 miss). Slots
-// are a single array of structs, so a probe touches one cache line, not
-// three parallel arrays.
-type U64 struct {
-	slots []u64Slot
-	n     int
-	shift uint
-}
-
-type u64Slot struct {
-	key  uint64
-	val  uint64
-	used bool
-}
-
-// NewU64 returns an empty table.
-func NewU64() *U64 {
-	t := &U64{}
-	t.init(minCap)
-	return t
-}
-
-// NewU64Sized returns an empty table pre-sized to hold about n entries
-// without growing (one allocation up front instead of log n rehashes).
-func NewU64Sized(n int) *U64 {
-	t := &U64{}
-	t.init(sizeFor(n))
-	return t
-}
-
-func (t *U64) init(capacity int) {
-	t.slots = make([]u64Slot, capacity)
-	t.shift = 64
-	for c := capacity; c > 1; c >>= 1 {
-		t.shift--
-	}
-}
-
-func (t *U64) idx(k uint64) uint64 { return (k * fib) >> t.shift }
-
-// Len returns the number of live entries.
-func (t *U64) Len() int { return t.n }
-
-// Get returns the value for k (zero when absent) and whether it exists.
-func (t *U64) Get(k uint64) (uint64, bool) {
-	mask := uint64(len(t.slots) - 1)
-	for i := t.idx(k); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if !s.used {
-			return 0, false
-		}
-		if s.key == k {
-			return s.val, true
-		}
-	}
-}
-
-// Set inserts or overwrites k's value.
-func (t *U64) Set(k uint64, v uint64) {
-	if 4*(t.n+1) >= 3*len(t.slots) {
-		t.grow()
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := t.idx(k); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if !s.used {
-			*s = u64Slot{key: k, val: v, used: true}
-			t.n++
-			return
-		}
-		if s.key == k {
-			s.val = v
-			return
-		}
-	}
-}
-
-// Delete removes k if present, backward-shifting the probe chain so no
-// tombstones accumulate.
-func (t *U64) Delete(k uint64) {
-	mask := uint64(len(t.slots) - 1)
-	i := t.idx(k)
-	for {
-		if !t.slots[i].used {
-			return
-		}
-		if t.slots[i].key == k {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		j = (j + 1) & mask
-		if !t.slots[j].used {
-			break
-		}
-		if h := t.idx(t.slots[j].key); (j-h)&mask >= (j-i)&mask {
-			t.slots[i].key, t.slots[i].val = t.slots[j].key, t.slots[j].val
-			i = j
-		}
-	}
-	t.slots[i].used = false
-	t.n--
-}
-
-// Reset empties the table in place, keeping its capacity. clear zeroes
-// the slot array wholesale — a single memclr, far cheaper than a
-// per-slot flag loop when Reset runs once per simulated cell.
-func (t *U64) Reset() {
-	clear(t.slots)
-	t.n = 0
-}
-
-func (t *U64) grow() {
-	old := t.slots
-	t.init(2 * len(old))
-	t.n = 0
-	for i := range old {
-		if old[i].used {
-			t.Set(old[i].key, old[i].val)
-		}
-	}
-}
-
 // I32 maps uint64 keys to int32 values (the sim package's block → pooled
-// line index table). Like U64, slots are a single array of structs so a
+// line index table). Like U8, slots are a single array of structs so a
 // probe touches one cache line.
 type I32 struct {
 	slots []i32Slot

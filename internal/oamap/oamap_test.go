@@ -85,41 +85,6 @@ func TestI32AgainstMap(t *testing.T) {
 	}
 }
 
-// TestU64AgainstMap is the same differential drive for the uint64 table.
-func TestU64AgainstMap(t *testing.T) {
-	tab := NewU64()
-	oracle := map[uint64]uint64{}
-	rng := uint64(0xdead_beef_0bad_f00d)
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
-	key := func() uint64 { return (next() % 512) << 6 }
-	for op := 0; op < 200000; op++ {
-		k := key()
-		switch next() % 4 {
-		case 0, 1:
-			v := next()
-			tab.Set(k, v)
-			oracle[k] = v
-		case 2:
-			tab.Delete(k)
-			delete(oracle, k)
-		case 3:
-			got, ok := tab.Get(k)
-			want, wok := oracle[k]
-			if ok != wok || got != want {
-				t.Fatalf("op %d: Get(%#x) = %d,%v want %d,%v", op, k, got, ok, want, wok)
-			}
-		}
-		if tab.Len() != len(oracle) {
-			t.Fatalf("op %d: Len %d, oracle %d", op, tab.Len(), len(oracle))
-		}
-	}
-}
-
 // TestSteadyStateAllocFree pins the allocation contract: once grown to
 // its working size, a churn of Set/Delete/Get allocates nothing.
 func TestSteadyStateAllocFree(t *testing.T) {

@@ -152,8 +152,6 @@ type regionQueue struct {
 	cap int
 }
 
-func (q *regionQueue) reset() { q.entries = q.entries[:0] }
-
 func (q *regionQueue) len() int { return len(q.entries) }
 
 // capacity returns the queue's occupancy bound (QueueSize unless

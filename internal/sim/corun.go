@@ -47,9 +47,10 @@ const (
 // shared L2 capacity and the DRAM channels/banks, where it belongs.
 //
 // Instruments: the fault injector, the watchdog and the invariant audit
-// serve the whole system. The telemetry sinks (metrics registry, sampler,
-// timeline) and the fill tamper describe a single core; callers attach
-// them only to one-core systems.
+// serve the whole system and hang off it. Every other observer (the
+// attribution ledger, the metrics registry and sampler, the timeline and
+// the fill tamper) describes one core and attaches to that core's port
+// (CorePort.Attach), so a co-run observes each core as a solo run does.
 //
 // The pump writes the system on every access, so the struct is padded to
 // whole host cache lines, the padding leading as in CorePort.
@@ -89,13 +90,6 @@ type systemState struct {
 	// busy channel is probed (and its hold counted) once per call.
 	advanceID uint64
 
-	// Telemetry sinks; all nil when no telemetry is attached, so the hot
-	// path pays one predictable branch per sink and nothing else.
-	sampler    *metrics.Sampler
-	timeline   *trace.Timeline
-	histDemand *metrics.Histogram // demand L2-miss service latency
-	histPF     *metrics.Histogram // prefetch issue→fill latency
-
 	// Robustness layer; all optional and nil/false by default.
 	faults    *faults.Injector
 	cancelled int // cancelled entries still parked in the arrival queue
@@ -103,13 +97,6 @@ type systemState struct {
 	checkInv  bool
 	checkGap  uint64 // accesses between periodic invariant checks
 	sinceInv  uint64
-
-	// fillTamper, when non-nil, is invoked with the block address of every
-	// prefetch fill the moment it lands in the L2. It exists solely for the
-	// conformance harness's known-bad self-test: a tamperer that corrupts
-	// the block's backing data models a broken prefetch data path, which the
-	// differential harness must catch. Never set outside tests.
-	fillTamper func(block uint64)
 }
 
 // CorePort is one core's endpoint into a CoRunSystem: a private L1,
@@ -142,8 +129,17 @@ type portState struct {
 	heldStart  uint64 // the cycle held issues at, set by ready
 	parkedID   uint64 // advanceID that parked held on a busy channel
 
-	stats  MemStats
-	ledger *attrib.Ledger
+	stats MemStats
+
+	// This core's observers (see Instruments); all nil when detached, so
+	// the hot path pays one predictable branch per observer and nothing
+	// else. histDemand and histPF are the registry's latency histograms.
+	ledger     *attrib.Ledger
+	sampler    *metrics.Sampler
+	timeline   *trace.Timeline
+	histDemand *metrics.Histogram // demand L2-miss service latency
+	histPF     *metrics.Histogram // prefetch issue→fill latency
+	tamper     func(block uint64)
 
 	// presentFn/rowOpenFn are p.present and p.rowOpen bound once: passing
 	// the method values inline would allocate a closure on every pop.
@@ -237,7 +233,7 @@ func (cs *CoRunSystem) SetPrioritizer(on bool) { cs.prioritizer = on }
 // Engine is wrapped in place), and the pump itself (cancelled in-flight
 // prefetches, delayed fills). One injector serves the whole system, so
 // its rolls and counts are shared by all cores. Call it once, right after
-// construction and before AttachTelemetry, so telemetry observes the
+// construction and before any port's Attach, so telemetry observes the
 // wrapped engine. A nil injector is a no-op.
 func (cs *CoRunSystem) SetFaults(inj *faults.Injector) {
 	if inj == nil {
@@ -284,24 +280,46 @@ func (cs *CoRunSystem) EnableInvariantChecks(every uint64) {
 	cs.checkGap = every
 }
 
-// SetFillTamper installs a test-only hook called with every prefetch
-// fill's block address as it lands in the L2 (see the fillTamper field).
-func (cs *CoRunSystem) SetFillTamper(fn func(block uint64)) { cs.fillTamper = fn }
+// Instruments are the observers of one core, attached to its port. Any
+// may be nil.
+type Instruments struct {
+	// Ledger follows each of this core's prefetches to a terminal outcome.
+	// It sees only this core's local addresses, so its summary lines up
+	// with a solo run of the same workload; cross-core pollution lands in
+	// its annotation counters, not the taxonomy.
+	Ledger *attrib.Ledger
+	// Registry receives this core's gauges and latency histograms and the
+	// shared L2's and DRAM's gauges. Each port needs its own registry.
+	Registry *metrics.Registry
+	// Sampler records time series of this core and the shared fabric,
+	// ticked at this core's accesses.
+	Sampler *metrics.Sampler
+	// Timeline receives this core's demand-miss and prefetch spans. The
+	// shared DRAM has one bank-span hook, so its bank spans, co-runners'
+	// traffic included, go to the timeline attached last.
+	Timeline *trace.Timeline
+	// Tamper is called with the local block address of each of this
+	// core's prefetch fills as it lands in the L2. It exists solely for
+	// the conformance harness's known-bad self-test: a tamperer that
+	// corrupts the block's backing data models a broken prefetch data
+	// path, which the differential harness must catch. Never set outside
+	// tests.
+	Tamper func(block uint64)
+}
 
-// AttachTelemetry connects core 0 and the shared fabric to the telemetry
-// layer: the gauges and series read core 0's L1, statistics, MSHR file
-// and engine, so attach it to one-core systems only. Any of the sinks may
-// be nil: a registry alone gives end-of-run counters and latency
-// histograms, a sampler adds the cycle-driven time series, and a
-// timeline records per-event spans for Perfetto export. Call it once,
-// before simulation starts.
-func (cs *CoRunSystem) AttachTelemetry(reg *metrics.Registry, smp *metrics.Sampler, tl *trace.Timeline) {
-	p := cs.ports[0]
-	cs.sampler = smp
-	cs.timeline = tl
+// Attach connects this core's observers, replacing any attached before.
+// The gauges and series it registers read this port and the shared
+// fabric: a registry alone gives end-of-run gauges
+// and latency histograms, a sampler adds the cycle-driven time series,
+// and a timeline records per-event spans for Perfetto export. Call it
+// once per port, before simulation starts.
+func (p *CorePort) Attach(in Instruments) {
+	cs := p.sys
+	p.ledger, p.sampler, p.timeline, p.tamper = in.Ledger, in.Sampler, in.Timeline, in.Tamper
+	p.histDemand, p.histPF = nil, nil
 	clock := func() uint64 { return cs.cursor }
 
-	if reg != nil {
+	if reg := in.Registry; reg != nil {
 		p.L1.RegisterMetrics(reg)
 		cs.L2.RegisterMetrics(reg)
 		cs.Dram.RegisterMetrics(reg, clock)
@@ -320,11 +338,11 @@ func (cs *CoRunSystem) AttachTelemetry(reg *metrics.Registry, smp *metrics.Sampl
 		// Latency buckets: 16 cycles up to ~170k, covering an L2 hit floor
 		// through heavy queueing; the memory round trip is ~160-220.
 		bounds := metrics.ExponentialBuckets(16, 1.5, 24)
-		cs.histDemand = reg.MustHistogram(HistDemandMissLatency, bounds)
-		cs.histPF = reg.MustHistogram(HistPrefetchLatency, bounds)
+		p.histDemand = reg.MustHistogram(HistDemandMissLatency, bounds)
+		p.histPF = reg.MustHistogram(HistPrefetchLatency, bounds)
 	}
 
-	if smp != nil {
+	if smp := in.Sampler; smp != nil {
 		smp.Watch(SeriesL2MissRate, func() float64 { return cs.L2.Stats().MissRate() })
 		if ql, ok := p.Engine.(prefetch.QueueLenner); ok {
 			smp.Watch(SeriesPFQueueOcc, func() float64 { return float64(ql.QueueLen()) })
@@ -347,23 +365,16 @@ func (cs *CoRunSystem) AttachTelemetry(reg *metrics.Registry, smp *metrics.Sampl
 		smp.Watch(SeriesInflightPF, func() float64 { return float64(p.inflightPF) })
 	}
 
-	if tl != nil {
+	if tl := in.Timeline; tl != nil {
 		cs.Dram.SetSubmitHook(func(ch, bk int, kind dram.Kind, start, busyUntil uint64, rowHit bool) {
 			tl.BankBusy(ch, bk, start, busyUntil, rowHit, kind.String())
 		})
 	}
 }
 
-// AttachLedger connects this core's prefetch attribution ledger. Each
-// core's ledger sees only that core's local addresses, so its summaries
-// line up with a solo run of the same workload; cross-core pollution
-// lands in the annotation counters, not the taxonomy. A nil (or
-// never-attached) ledger costs the hot path one predictable branch per
-// event. Call it once, before simulation starts.
+// AttachLedger attaches (or, with nil, detaches) this core's ledger
+// alone, leaving its other instruments as they are.
 func (p *CorePort) AttachLedger(l *attrib.Ledger) { p.ledger = l }
-
-// Ledger returns this core's attached ledger (nil when detached).
-func (p *CorePort) Ledger() *attrib.Ledger { return p.ledger }
 
 // Stats returns this core's hierarchy-level statistics.
 func (p *CorePort) Stats() MemStats { return p.stats }
@@ -484,8 +495,8 @@ func (cs *CoRunSystem) processArrivals(t uint64) {
 			owner.ledger.CrossCoreVictim(attribIdx)
 			vport.ledger.VictimDisplaced(cs.local(v.Addr))
 		}
-		if pf && cs.fillTamper != nil {
-			cs.fillTamper(cs.local(block))
+		if pf && owner.tamper != nil {
+			owner.tamper(cs.local(block))
 		}
 		// Pointer-scanning engines inspect every arriving line of their own
 		// core; lines are ASID-tagged, so only the owner scans.
@@ -524,8 +535,8 @@ func (cs *CoRunSystem) cancelOnePrefetch() {
 	owner := cs.ports[cs.ownerOf(ln.block)]
 	owner.inflightPF--
 	owner.stats.PrefetchesCancelled++
-	if cs.timeline != nil {
-		cs.timeline.PrefetchOutcomeAt(cs.local(ln.block), "cancelled", cs.cursor)
+	if owner.timeline != nil {
+		owner.timeline.PrefetchOutcomeAt(cs.local(ln.block), "cancelled", cs.cursor)
 	}
 	if owner.ledger != nil {
 		owner.ledger.Cancel(ln.attribIdx)
@@ -656,9 +667,9 @@ func (cs *CoRunSystem) Advance(now uint64) {
 		if cs.faults != nil {
 			done += cs.faults.FillDelay()
 		}
-		cs.histPF.Observe(float64(done - start))
-		if cs.timeline != nil {
-			cs.timeline.PrefetchIssue(cand, start, done, false)
+		p.histPF.Observe(float64(done - start))
+		if p.timeline != nil {
+			p.timeline.PrefetchIssue(cand, start, done, false)
 		}
 		ln := cs.addInflight(gcand, done, true)
 		p.inflightPF++
@@ -697,8 +708,8 @@ func (p *CorePort) access(pc, addr uint64, write bool, hint isa.Hint, coeff uint
 	}
 	cs.lastSubmit = now
 	cs.Advance(now)
-	if cs.sampler != nil {
-		cs.sampler.Tick(now)
+	if p.sampler != nil {
+		p.sampler.Tick(now)
 	}
 	if cs.checkInv {
 		cs.sinceInv++
@@ -730,8 +741,8 @@ func (p *CorePort) access(pc, addr uint64, write bool, hint isa.Hint, coeff uint
 		if ln.prefetch {
 			p.stats.PrefetchLates++
 			p.Engine.OnDemandHitPrefetched(lb)
-			if cs.timeline != nil {
-				cs.timeline.PrefetchOutcomeAt(lb, "late", now)
+			if p.timeline != nil {
+				p.timeline.PrefetchOutcomeAt(lb, "late", now)
 			}
 			p.ledger.Late(ln.attribIdx)
 		}
@@ -760,8 +771,8 @@ func (p *CorePort) access(pc, addr uint64, write bool, hint isa.Hint, coeff uint
 		if wasPF {
 			lb := cs.local(block)
 			p.Engine.OnDemandHitPrefetched(lb)
-			if cs.timeline != nil {
-				cs.timeline.PrefetchOutcomeAt(lb, "useful", now)
+			if p.timeline != nil {
+				p.timeline.PrefetchOutcomeAt(lb, "useful", now)
 			}
 			if p.ledger != nil {
 				p.ledger.DemandHit(token)
@@ -794,10 +805,10 @@ func (p *CorePort) access(pc, addr uint64, write bool, hint isa.Hint, coeff uint
 		// fill mask the very stall it causes.
 		cs.watchdog.NoteMem(now)
 	}
-	cs.histDemand.Observe(float64(dramDone - now))
-	if cs.timeline != nil {
-		cs.timeline.DemandMiss(pc, lb, now, dramDone)
-		cs.timeline.HintEmit(pc, lb, now)
+	p.histDemand.Observe(float64(dramDone - now))
+	if p.timeline != nil {
+		p.timeline.DemandMiss(pc, lb, now, dramDone)
+		p.timeline.HintEmit(pc, lb, now)
 	}
 	cs.addInflight(block, dramDone, false)
 	// Fill the L1 now; the in-flight entry (checked before the L1 probe)
@@ -847,10 +858,10 @@ func (p *CorePort) SoftwarePrefetch(addr, now uint64) {
 		done += cs.faults.FillDelay()
 	}
 	p.mshr.Complete(slot, done)
-	cs.histPF.Observe(float64(done - start))
+	p.histPF.Observe(float64(done - start))
 	lb := cs.local(block)
-	if cs.timeline != nil {
-		cs.timeline.PrefetchIssue(lb, start, done, true)
+	if p.timeline != nil {
+		p.timeline.PrefetchIssue(lb, start, done, true)
 	}
 	ln := cs.addInflight(block, done, true)
 	p.inflightPF++

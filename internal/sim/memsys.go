@@ -8,6 +8,15 @@
 // over one shared L2 and DRAM controller. A single-core run is the
 // one-core case, and MemSystem is that system seen through its only port.
 //
+// Observers attach where they look. The fault injector, the watchdog and
+// the invariant audit serve the whole system and are set on CoRunSystem.
+// The attribution ledger, the metrics registry and sampler, the Perfetto
+// timeline and the test-only fill tamper describe one core and attach to
+// its CorePort through Attach, so a co-run is a run with more ports all the
+// way up. The shared L2 and DRAM are part of every core's view: a port's
+// registry carries their gauges, and the DRAM's bank spans go to the
+// attached timeline with co-runners' traffic included.
+//
 // No second engine referees its timing. Relations do, each with a
 // known-bad self-test: under a perfect L2 a core must take the cycles it
 // takes over an ideal port (a private L1 with fixed hit latencies), a
@@ -111,9 +120,9 @@ type inflightLine struct {
 // CoRunSystem together with its only port. It owns no timing state; the
 // two embedded types share no field or method name, so it offers both
 // method sets — cpu.MemoryTiming, the watchdog hooks, Stats and the
-// ledger from the port; the instruments, Advance, Drain, CheckInvariants
-// and DiagnosticDump from the system — and the L1, L2, Dram and Engine
-// fields.
+// per-core instruments (Attach, AttachLedger) from the port; faults, the
+// watchdog, the invariant audit, Advance, Drain, CheckInvariants and
+// DiagnosticDump from the system — and the L1, L2, Dram and Engine fields.
 type MemSystem struct {
 	*CorePort
 	*CoRunSystem

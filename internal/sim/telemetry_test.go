@@ -10,13 +10,13 @@ import (
 )
 
 // TestAttachTelemetryRegistry checks that attaching telemetry to a live
-// memory system registers the hierarchy's instruments and that probes see
-// the system's real state.
+// memory system's port registers the hierarchy's instruments and that
+// probes see the system's real state.
 func TestAttachTelemetryRegistry(t *testing.T) {
 	ms := newSys(prefetch.NewSRP())
 	reg := metrics.NewRegistry()
 	smp := metrics.NewSampler(256)
-	ms.AttachTelemetry(reg, smp, nil)
+	ms.Attach(Instruments{Registry: reg, Sampler: smp})
 
 	for _, name := range []string{
 		"l1d.accesses", "l2.miss_rate", "dram.utilization",
@@ -31,7 +31,7 @@ func TestAttachTelemetryRegistry(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("registry missing %q after AttachTelemetry", name)
+			t.Errorf("registry missing %q after Attach", name)
 		}
 	}
 
@@ -60,7 +60,7 @@ func TestAttachTelemetryRegistry(t *testing.T) {
 func TestTimelinePrefetchOutcomes(t *testing.T) {
 	ms := newSys(prefetch.NewSRP())
 	tl := trace.NewTimeline()
-	ms.AttachTelemetry(nil, nil, tl)
+	ms.Attach(Instruments{Timeline: tl})
 
 	d1 := ms.Load(0, 0x10000, isa.HintNone, isa.FixedRegion, 100)
 	ms.Advance(d1 + 20000)
@@ -77,5 +77,39 @@ func TestTimelinePrefetchOutcomes(t *testing.T) {
 	ms.Load(0, 0x10040, isa.HintNone, isa.FixedRegion, d1+30000)
 	if tl.Len() != before+1 {
 		t.Errorf("outcome upgrade appended %d events, want exactly the flow finish", tl.Len()-before)
+	}
+}
+
+// TestTamperSeesOwnFills: in a co-run each prefetch fill calls its owner's
+// tamper with the owner's local block address, never another core's.
+func TestTamperSeesOwnFills(t *testing.T) {
+	cs, err := NewCoRunSystem(DefaultMemConfig(), []prefetch.Engine{prefetch.NewSRP(), prefetch.NewSRP()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const regions = 8
+	bases := []uint64{0x100000, 0x900000}
+	seen := make([][]uint64, len(bases))
+	for i := range bases {
+		i := i
+		cs.Port(i).Attach(Instruments{Tamper: func(block uint64) { seen[i] = append(seen[i], block) }})
+	}
+	now := uint64(100)
+	for k := uint64(0); k < regions; k++ {
+		for i, base := range bases {
+			now = cs.Port(i).Load(0, base+k*4096, isa.HintNone, isa.FixedRegion, now+50)
+		}
+	}
+	cs.Drain()
+	for i, base := range bases {
+		if len(seen[i]) == 0 {
+			t.Errorf("core %d's tamper saw no prefetch fill", i)
+		}
+		for _, b := range seen[i] {
+			if b < base || b >= base+regions*4096 {
+				t.Errorf("core %d's tamper saw block %#x outside its regions [%#x, %#x)", i, b, base, base+regions*4096)
+				break
+			}
+		}
 	}
 }

@@ -184,6 +184,41 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
+// PresentMask reports, in one pass over their consecutive sets, which of
+// the n (at most 64) consecutive blocks starting at the block holding
+// addr are present: bit i stands for block i. Like Contains it touches
+// neither LRU state nor statistics, and a perfect cache holds every
+// block. The region engine builds its bit vectors from it (Sec. 3.1).
+func (c *Cache) PresentMask(addr uint64, n int) uint64 {
+	if c.cfg.Perfect {
+		return ^uint64(0) >> (64 - n)
+	}
+	// A line of set s holds block b iff b&setMask == s, so the lines of
+	// the blocks' sets whose tags (block numbers) fall in [first,
+	// first+n) are exactly the present blocks. n > nsets scans every set
+	// once.
+	first := addr >> c.blkShift
+	lo := int(first&c.setMask) * c.cfg.Assoc
+	hi := lo + min(n, c.nsets)*c.cfg.Assoc
+	mask := presentIn(c.lines[lo:min(hi, len(c.lines))], first, uint64(n))
+	if hi > len(c.lines) { // the sets wrap past the last one
+		mask |= presentIn(c.lines[:hi-len(c.lines)], first, uint64(n))
+	}
+	return mask
+}
+
+// presentIn sets bit tag-first for every valid line whose tag lies in
+// [first, first+n).
+func presentIn(lines []line, first, n uint64) uint64 {
+	var mask uint64
+	for i := range lines {
+		if d := lines[i].tag - first; d < n && lines[i].valid {
+			mask |= 1 << d
+		}
+	}
+	return mask
+}
+
 // Access performs a demand access. On a hit the line moves to MRU (and a
 // prefetched line is counted useful and loses its prefetched mark;
 // wasPrefetched reports that case so stream-based prefetchers can advance).

@@ -199,6 +199,35 @@ func TestPerfectCache(t *testing.T) {
 	}
 }
 
+// TestPresentMaskMatchesContains: the one-pass mask agrees with Contains
+// block by block for every run length up to 64 from any block, so runs
+// that wrap past the last set and runs longer than the 16-set cache are
+// covered, and a perfect cache reports every block of the run.
+func TestPresentMaskMatchesContains(t *testing.T) {
+	c := mustNew(t, testConfig())
+	for i := uint64(0); i < 200; i++ {
+		c.Fill((i*37%96)*64, i%3 == 0, false)
+	}
+	for first := uint64(0); first < 96; first++ {
+		for n := 1; n <= 64; n++ {
+			var want uint64
+			for i := 0; i < n; i++ {
+				if c.Contains((first + uint64(i)) * 64) {
+					want |= 1 << i
+				}
+			}
+			if got := c.PresentMask(first*64+5, n); got != want {
+				t.Fatalf("PresentMask(block %d, %d) = %#x, per block %#x", first, n, got, want)
+			}
+		}
+	}
+	cfg := testConfig()
+	cfg.Perfect = true
+	if got := mustNew(t, cfg).PresentMask(0x1000, 7); got != 0x7f {
+		t.Errorf("perfect cache mask of 7 blocks = %#x, want 0x7f", got)
+	}
+}
+
 func TestMissRate(t *testing.T) {
 	var s Stats
 	if s.MissRate() != 0 {

@@ -274,7 +274,7 @@ func Run(spec *workloads.Spec, scheme Scheme, opt Options) (*Result, error) {
 	if len(opt.CoRun) > 0 {
 		return runCoRunCell(spec, scheme, opt)
 	}
-	rs, err := runCores([]*workloads.Spec{spec}, scheme, opt, false, engineFor)
+	rs, err := runCores([]*workloads.Spec{spec}, scheme, opt, false, engineFor, runThreads)
 	if err != nil {
 		return nil, err
 	}
@@ -286,12 +286,10 @@ func Run(spec *workloads.Spec, scheme Scheme, opt Options) (*Result, error) {
 // prefetch engine, L2 MSHR partition and prefetch budget — over one
 // memory system with a shared L2 and DRAM, runs the cores' threads to
 // completion, drains the memory system, and returns each core's Result.
-// Threads interleave deterministically: the unfinished core whose last
-// commit is furthest behind in cycles steps next (the lower core id on
-// ties), so a run is exactly reproducible at any host parallelism. With
-// coRun set, each Result carries its CoRunInfo. newEngine builds each
-// core's prefetch engine: engineFor, or a wrapper of it in tests.
-func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, newEngine engineMaker) ([]*Result, error) {
+// With coRun set, each Result carries its CoRunInfo. newEngine builds
+// each core's prefetch engine and run drives the started threads:
+// engineFor and runThreads, or stand-ins for them in tests.
+func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, newEngine engineMaker, run threadRunner) ([]*Result, error) {
 	n := len(specs)
 	benches := make([]string, n)
 	for i, spec := range specs {
@@ -430,46 +428,20 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 
 	// Watchdog and invariant aborts surface from deep inside the timing
 	// pump as typed panics; convert them back into errors here.
-	failed := -1 // the core whose Start or Step failed
+	failed := -1 // the core whose Start or run failed
 	err = func() (err error) {
 		defer sim.RecoverAbort(&err)
+		threads := make([]*cpu.Thread, n)
 		for i := range states {
 			t, serr := states[i].core.Start(states[i].prog)
 			if serr != nil {
 				failed = i
 				return serr
 			}
-			states[i].thread = t
+			states[i].thread, threads[i] = t, t
 		}
-		for {
-			// best is the core furthest behind, next the runner-up. best
-			// keeps stepping while it stays behind next, so one core runs
-			// as a plain loop; cross-core submission-time jitter from the
-			// commit granularity is absorbed by the pump's monotonic clamp.
-			best, next := -1, -1
-			for i := range states {
-				th := states[i].thread
-				switch {
-				case th.Done():
-				case best < 0 || th.LastCommitCycle() < states[best].thread.LastCommitCycle():
-					best, next = i, best
-				case next < 0 || th.LastCommitCycle() < states[next].thread.LastCommitCycle():
-					next = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			th := states[best].thread
-			for {
-				if serr := th.Step(); serr != nil {
-					failed = best
-					return serr
-				}
-				if th.Done() || next >= 0 && !behind(th, best, states[next].thread, next) {
-					break
-				}
-			}
+		if failed, err = run(threads); err != nil {
+			return err
 		}
 		ms.Drain()
 		return nil
@@ -532,12 +504,45 @@ func runCores(specs []*workloads.Spec, scheme Scheme, opt Options, coRun bool, n
 	return results, nil
 }
 
-// behind reports whether thread a (core ai) steps before thread b (core
-// bi) under the interleave order: fewer committed cycles, then the lower
-// core id.
-func behind(a *cpu.Thread, ai int, b *cpu.Thread, bi int) bool {
-	ac, bc := a.LastCommitCycle(), b.LastCommitCycle()
-	return ac < bc || ac == bc && ai < bi
+// threadRunner runs started threads to completion and returns the index
+// of the thread that failed, if one did.
+type threadRunner func(threads []*cpu.Thread) (failed int, err error)
+
+// runThreads is the threadRunner of every run. Threads interleave
+// deterministically, so a run is exactly reproducible at any host
+// parallelism: the unfinished thread whose last commit is furthest behind
+// in cycles runs next (the lower core id on ties), in one RunUntil call
+// that lasts while it stays behind the runner-up, so a thread alone runs
+// to the end in one call. Cross-core submission-time jitter from the
+// commit granularity is absorbed by the pump's monotonic clamp.
+func runThreads(threads []*cpu.Thread) (int, error) {
+	for {
+		best, next := -1, -1
+		for i, th := range threads {
+			switch {
+			case th.Done():
+			case best < 0 || th.LastCommitCycle() < threads[best].LastCommitCycle():
+				best, next = i, best
+			case next < 0 || th.LastCommitCycle() < threads[next].LastCommitCycle():
+				next = i
+			}
+		}
+		if best < 0 {
+			return -1, nil
+		}
+		// Behind the runner-up means below its retire clock, or level with
+		// it at a lower id.
+		bound := ^uint64(0)
+		if next >= 0 {
+			bound = threads[next].LastCommitCycle()
+			if best < next {
+				bound++
+			}
+		}
+		if err := threads[best].RunUntil(bound); err != nil {
+			return best, err
+		}
+	}
 }
 
 // archDigest fingerprints the architectural outcome of a run: the final

@@ -81,7 +81,7 @@ func RunCoRunSpecs(specs []*workloads.Spec, scheme Scheme, opt Options) (*CoRunR
 	if err := opt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	rs, err := runCores(specs, scheme, opt, true, engineFor)
+	rs, err := runCores(specs, scheme, opt, true, engineFor, runThreads)
 	if err != nil {
 		return nil, err
 	}

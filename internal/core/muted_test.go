@@ -29,7 +29,7 @@ var issuingSchemes = []Scheme{StridePF, GHB, SRP, GRPFix, GRPVar, GRPAdaptive, P
 // runWith runs one solo cell with the given engine factory.
 func runWith(t *testing.T, spec *workloads.Spec, sc Scheme, newEngine engineMaker) *Result {
 	t.Helper()
-	rs, err := runCores([]*workloads.Spec{spec}, sc, Options{Factor: workloads.Test, CheckInvariants: true}, false, newEngine)
+	rs, err := runCores([]*workloads.Spec{spec}, sc, Options{Factor: workloads.Test, CheckInvariants: true}, false, newEngine, runThreads)
 	if err != nil {
 		t.Fatal(err)
 	}

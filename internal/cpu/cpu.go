@@ -184,10 +184,10 @@ const (
 	kindPref                 // a software prefetch: a load that binds nothing
 )
 
-// uop is one instruction as Step needs it: isa.Instr's predicates and
-// opLatency evaluated once per program, at Start, instead of once per
-// executed instruction. A thread owns its decoded program, so concurrent
-// cells never share one.
+// uop is one instruction as the run loop needs it: isa.Instr's
+// predicates and opLatency evaluated once per program, at Start, instead
+// of once per executed instruction. A thread owns its decoded program, so
+// concurrent cells never share one.
 type uop struct {
 	imm    int64
 	target int
@@ -442,22 +442,109 @@ type pendStore struct {
 	commit uint64
 }
 
-// Thread is an in-flight run that advances one committed instruction per
-// Step call. It holds all scheduler state Run used to keep on its stack,
-// so a co-run driver can interleave several threads over one shared
-// memory system; a Thread stepped to completion is cycle-identical to
-// Run on the same program. Step writes it on every instruction, so the
-// struct is padded to whole host cache lines.
+// granuleBuckets is how many counts a store buffer keeps of the 8-byte
+// granules its stores touch; granule g counts in bucket g&(granuleBuckets-1).
+const granuleBuckets = 256
+
+// storeBuffer is a thread's window of the last len(ring) stores, kept for
+// load forwarding. A load of at most 8 bytes overlaps a store of at most
+// 8 bytes only if they share an 8-byte granule, so a load whose granules'
+// buckets all count zero can skip the ring scan exactly; a bucket shared
+// by unrelated granules only costs a scan. The counts are uint16 because
+// a ROB of maxROBSize entries can put every buffered store in one bucket,
+// and they live in their own allocation: Thread is already at its
+// 512-byte bound.
+type storeBuffer struct {
+	ring     []pendStore
+	granules *[granuleBuckets]uint16
+	next     int32 // the slot the next store takes
+	n        int32 // how many slots hold a store
+}
+
+func newStoreBuffer(size int) storeBuffer {
+	return storeBuffer{ring: make([]pendStore, size), granules: new([granuleBuckets]uint16)}
+}
+
+// granuleSpan returns the first and last 8-byte granule of an access.
+func granuleSpan(addr uint64, size int) (first, last uint64) {
+	return addr >> 3, (addr + uint64(size) - 1) >> 3
+}
+
+// count adds d to the buckets of the granules the access touches.
+func (b *storeBuffer) count(addr uint64, size int, d uint16) {
+	g0, g1 := granuleSpan(addr, size)
+	b.granules[g0&(granuleBuckets-1)] += d
+	if g1 != g0 {
+		b.granules[g1&(granuleBuckets-1)] += d
+	}
+}
+
+// push buffers a store, overwriting the oldest once the ring is full.
+func (b *storeBuffer) push(st pendStore) {
+	old := &b.ring[b.next]
+	if int(b.n) == len(b.ring) {
+		b.count(old.addr, old.size, ^uint16(0)) // adds -1 modulo 2^16
+	} else {
+		b.n++
+	}
+	*old = st
+	b.count(st.addr, st.size, 1)
+	if b.next++; int(b.next) == len(b.ring) {
+		b.next = 0
+	}
+}
+
+// forward returns the completion cycle of a load of size bytes at addr,
+// issued at issueAt, that the newest overlapping store still in the
+// buffer at issueAt forwards to, or false when no store does.
+func (b *storeBuffer) forward(addr uint64, size int, issueAt uint64) (uint64, bool) {
+	g0, g1 := granuleSpan(addr, size)
+	if b.granules[g0&(granuleBuckets-1)] == 0 && b.granules[g1&(granuleBuckets-1)] == 0 {
+		return 0, false
+	}
+	return b.scan(addr, size, issueAt)
+}
+
+// scan is forward without the granule filter: it walks the ring newest
+// first.
+func (b *storeBuffer) scan(addr uint64, size int, issueAt uint64) (uint64, bool) {
+	j := b.next
+	for k := int32(0); k < b.n; k++ {
+		if j == 0 {
+			j = int32(len(b.ring))
+		}
+		j--
+		st := &b.ring[j]
+		if st.commit <= issueAt {
+			continue
+		}
+		if overlaps(st.addr, st.size, addr, size) {
+			return max(st.ready, issueAt) + 1, true
+		}
+	}
+	return 0, false
+}
+
+// Thread is an in-flight run that a co-run driver advances in slices:
+// RunUntil runs it up to a bound on its retire clock, so several threads
+// interleave over one shared memory system. It holds all scheduler state
+// between calls, and a thread run in slices of any length is
+// cycle-identical to Run on the same program. The run loop writes it on
+// every instruction, so the struct is padded to whole host cache lines.
+// The padding leads, since a zero-size trailing field would itself add a
+// word.
 type Thread struct {
-	threadState
 	_ [(lineBytes - unsafe.Sizeof(threadState{})%lineBytes) % lineBytes]byte
+	threadState
 }
 
 type threadState struct {
 	c    *Core
 	p    *isa.Program
 	code []uop // p.Instrs decoded, indexed by pc
-	res  Result
+	// res stays current on every instruction: Core.Progress and the cpu.*
+	// gauges read it from inside the memory system, mid-run.
+	res Result
 
 	regReady  [isa.NumRegs]uint64
 	robCommit []uint64 // commit cycle by ROB slot
@@ -466,8 +553,9 @@ type threadState struct {
 	memSlots   *slotTable
 
 	fetchCycle uint64
-	// lastCommitCycle is the thread's retire clock. A RetireWatcher
-	// monitor reads it in place instead of being told of each commit.
+	// lastCommitCycle is the thread's retire clock, kept current on every
+	// instruction. A RetireWatcher monitor reads it in place instead of
+	// being told of each commit.
 	lastCommitCycle   uint64
 	storeAddrReadyMax uint64 // all older stores' addresses known by here
 	// storeCommitMax is the latest cycle at which any store leaves the
@@ -479,17 +567,12 @@ type threadState struct {
 	// stall window plus one for a RetireWatcher, never without a monitor.
 	checkGap uint64
 
-	// recentStores is a ring of the last len(recentStores) stores, kept
-	// for load forwarding; storeNext is the slot the next store takes and
-	// storeCount how many slots hold a store.
-	recentStores []pendStore
+	stores storeBuffer
 
 	// The counters below are bounded by the widths and the ROB size that
 	// Validate admits, so they fit in 32 bits.
 	fetchedThisCycle int32
 	commitsThisCycle int32
-	storeNext        int32
-	storeCount       int32
 	robSlot          int32 // the ROB slot the next instruction takes
 	done             bool
 
@@ -499,7 +582,7 @@ type threadState struct {
 }
 
 // Done reports whether the thread has halted, exhausted its budget, or
-// failed; Step is a no-op afterwards.
+// failed; RunUntil is a no-op afterwards.
 func (t *Thread) Done() bool { return t.done }
 
 // Result returns the (possibly partial) run summary accumulated so far.
@@ -522,15 +605,15 @@ func (c *Core) Start(p *isa.Program) (*Thread, error) {
 		code[i] = decode(in)
 	}
 	t := &Thread{threadState: threadState{
-		c:            c,
-		p:            p,
-		code:         code,
-		robCommit:    make([]uint64, c.cfg.ROBSize),
-		issueSlots:   newSlotTable(c.cfg.IssueWidth),
-		memSlots:     newSlotTable(c.cfg.MemPorts),
-		fetchCycle:   1,
-		recentStores: make([]pendStore, c.cfg.ROBSize),
-		checkGap:     ^uint64(0),
+		c:          c,
+		p:          p,
+		code:       code,
+		robCommit:  make([]uint64, c.cfg.ROBSize),
+		issueSlots: newSlotTable(c.cfg.IssueWidth),
+		memSlots:   newSlotTable(c.cfg.MemPorts),
+		fetchCycle: 1,
+		stores:     newStoreBuffer(c.cfg.ROBSize),
+		checkGap:   ^uint64(0),
 	}}
 	t.budget = c.cfg.MaxInstrs
 	if t.budget == 0 {
@@ -550,61 +633,84 @@ func (c *Core) Start(p *isa.Program) (*Thread, error) {
 }
 
 // Run executes the program to HALT or the instruction budget and returns
-// timing results. It returns an error for malformed programs or runaway
-// execution without a budget.
+// timing results: one RunUntil call with no bound. It returns an error
+// for malformed programs or runaway execution without a budget.
 func (c *Core) Run(p *isa.Program) (Result, error) {
 	t, err := c.Start(p)
 	if err != nil {
 		return Result{}, err
 	}
-	for !t.Done() {
-		if err := t.Step(); err != nil {
-			return t.res, err
-		}
-	}
-	return t.res, nil
+	err = t.RunUntil(^uint64(0))
+	return t.res, err
 }
 
-// Step fetches, executes, schedules and commits exactly one instruction.
-// A Step on a finished thread is a no-op. On error the thread is marked
-// done and the partial result stays readable via Result.
-func (t *Thread) Step() error {
+// Step fetches, executes, schedules and commits exactly one instruction:
+// it is RunUntil(0). A Step on a finished thread is a no-op. On error the
+// thread is marked done and the partial result stays readable via
+// Result.
+func (t *Thread) Step() error { return t.RunUntil(0) }
+
+// RunUntil fetches, executes, schedules and commits instructions until
+// the thread is done or its retire clock (LastCommitCycle) reaches bound;
+// it runs at least one instruction on an unfinished thread, so
+// RunUntil(0) is one step. A call on a finished thread is a no-op. On
+// error the thread is marked done and the partial result stays readable
+// via Result.
+//
+// This is the one copy of the instruction semantics. Its hot state lives
+// in locals for the length of the call and is written back to the thread
+// on every exit, an abort panic from the memory system included; the
+// retire clock and the result stay current in the thread on every
+// instruction, because the watchdog and the progress gauges read them
+// mid-run.
+func (t *Thread) RunUntil(bound uint64) error {
 	if t.done {
 		return nil
 	}
 	c := t.c
-	i := t.i
-	{
+	code, robCommit, predict := t.code, t.robCommit, c.predict
+	msys, monitor, cancel := c.msys, c.monitor, c.cfg.Cancel
+	fetchWidth, commitWidth := int32(c.cfg.FetchWidth), int32(c.cfg.CommitWidth)
+	branchPenalty, checkGap, budget := c.cfg.BranchPenalty, t.checkGap, t.budget
+	issueSlots, memSlots := t.issueSlots, t.memSlots
+
+	fetchCycle, fetchedThisCycle, commitsThisCycle := t.fetchCycle, t.fetchedThisCycle, t.commitsThisCycle
+	robSlot, pc, i := t.robSlot, t.pc, t.i
+	lastCommit := t.lastCommitCycle
+	defer func() {
+		t.fetchCycle, t.fetchedThisCycle, t.commitsThisCycle = fetchCycle, fetchedThisCycle, commitsThisCycle
+		t.robSlot, t.pc, t.i = robSlot, pc, i
+	}()
+
+	for {
 		// A masked countdown keeps the cancellation poll off the per-
 		// instruction hot path; 4096 instructions of slack is microseconds
 		// of wall time.
-		if cancel := c.cfg.Cancel; cancel != nil && i&4095 == 4095 {
+		if cancel != nil && i&4095 == 4095 {
 			if err := cancel(); err != nil {
 				t.done = true
 				return fmt.Errorf("cpu: %s: run cancelled: %w", t.p.Name, err)
 			}
 		}
-		pc := t.pc
-		if uint(pc) >= uint(len(t.code)) {
+		if uint(pc) >= uint(len(code)) {
 			t.done = true
 			return fmt.Errorf("cpu: %s: pc %d out of range", t.p.Name, pc)
 		}
-		in := &t.code[pc]
+		in := &code[pc]
 
 		// --- Fetch slot ---
-		if int(t.fetchedThisCycle) >= c.cfg.FetchWidth {
-			t.fetchCycle++
-			t.fetchedThisCycle = 0
+		if fetchedThisCycle >= fetchWidth {
+			fetchCycle++
+			fetchedThisCycle = 0
 		}
-		fetchAt := t.fetchCycle
+		fetchAt := fetchCycle
 		// ROB space: the slot we are about to reuse must have committed.
-		slot := t.robSlot
-		if t.robCommit[slot] > fetchAt {
-			fetchAt = t.robCommit[slot]
-			t.fetchCycle = fetchAt
-			t.fetchedThisCycle = 0
+		if robCommit[robSlot] > fetchAt {
+			fetchAt = robCommit[robSlot]
+			fetchCycle = fetchAt
+			fetchedThisCycle = 0
 		}
-		t.fetchedThisCycle++
+		fetchedThisCycle++
 
 		// --- Functional execute (oracle path) ---
 		a, b := in.src1, in.src2
@@ -681,9 +787,9 @@ func (t *Thread) Step() error {
 		case isa.OpJmp:
 			taken = true
 		case isa.OpSetBound:
-			c.msys.SetBound(v1)
+			msys.SetBound(v1)
 		case isa.OpPrefIndirect:
-			c.msys.Indirect(v1, v2, uint(in.imm)&63)
+			msys.Indirect(v1, v2, uint(in.imm)&63)
 		case isa.OpPref:
 			addr = v1 + uint64(in.imm)
 		}
@@ -704,8 +810,8 @@ func (t *Thread) Step() error {
 			// A software prefetch consumes an issue slot and a memory
 			// port like a load — its runtime overhead is the point of the
 			// comparison — but binds no register and never stalls.
-			issueAt := t.issueSlots.reserveWith(readyAt, t.fetchCycle, t.memSlots)
-			c.msys.SoftwarePrefetch(addr, issueAt)
+			issueAt := issueSlots.reserveWith(readyAt, fetchCycle, memSlots)
+			msys.SoftwarePrefetch(addr, issueAt)
 			doneAt = issueAt + 1
 		case kindLoad:
 			t.res.Loads++
@@ -714,59 +820,33 @@ func (t *Thread) Step() error {
 			if t.storeAddrReadyMax > readyAt {
 				readyAt = t.storeAddrReadyMax
 			}
-			issueAt := t.issueSlots.reserveWith(readyAt, t.fetchCycle, t.memSlots)
-			// Forward from an in-flight older store to the same address,
-			// scanning newest first. When every buffered store has left
-			// the buffer by issueAt the scan would find nothing.
+			issueAt := issueSlots.reserveWith(readyAt, fetchCycle, memSlots)
+			// Forward from an in-flight older store to the same address.
+			// When every buffered store has left the buffer by issueAt
+			// there is nothing to forward from.
 			forwarded := false
 			if t.storeCommitMax > issueAt {
-				j := t.storeNext
-				for k := int32(0); k < t.storeCount; k++ {
-					if j == 0 {
-						j = int32(len(t.recentStores))
-					}
-					j--
-					st := &t.recentStores[j]
-					if st.commit <= issueAt {
-						continue
-					}
-					if overlaps(st.addr, st.size, addr, int(in.size)) {
-						d := st.ready
-						if issueAt > d {
-							d = issueAt
-						}
-						doneAt = d + 1
-						forwarded = true
-						break
-					}
-				}
+				doneAt, forwarded = t.stores.forward(addr, int(in.size), issueAt)
 			}
 			if !forwarded {
-				doneAt = c.msys.Load(ipc, addr, in.hint, in.coeff, issueAt)
+				doneAt = msys.Load(ipc, addr, in.hint, in.coeff, issueAt)
 			}
 		case kindStore:
 			t.res.Stores++
-			issueAt := t.issueSlots.reserveWith(readyAt, t.fetchCycle, t.memSlots)
+			issueAt := issueSlots.reserveWith(readyAt, fetchCycle, memSlots)
 			// The store enters the store buffer; the cache access happens
 			// in the background and does not block commit.
-			c.msys.Store(ipc, addr, issueAt)
+			msys.Store(ipc, addr, issueAt)
 			doneAt = issueAt + 1
 			if readyAt > t.storeAddrReadyMax {
 				t.storeAddrReadyMax = readyAt
 			}
-			st := pendStore{addr: addr, size: int(in.size), ready: doneAt, commit: doneAt + 2}
-			t.recentStores[t.storeNext] = st
-			if st.commit > t.storeCommitMax {
-				t.storeCommitMax = st.commit
-			}
-			if t.storeNext++; int(t.storeNext) == len(t.recentStores) {
-				t.storeNext = 0
-			}
-			if int(t.storeCount) < len(t.recentStores) {
-				t.storeCount++
+			t.stores.push(pendStore{addr: addr, size: int(in.size), ready: doneAt, commit: doneAt + 2})
+			if doneAt+2 > t.storeCommitMax {
+				t.storeCommitMax = doneAt + 2
 			}
 		default:
-			issueAt := t.issueSlots.reserveWith(readyAt, t.fetchCycle, nil)
+			issueAt := issueSlots.reserveWith(readyAt, fetchCycle, nil)
 			doneAt = issueAt + uint64(in.lat)
 		}
 
@@ -780,55 +860,55 @@ func (t *Thread) Step() error {
 		if in.branch {
 			t.res.Branches++
 			if in.cond {
-				idx := pc & (len(c.predict) - 1)
-				predTaken := c.predict[idx] >= 2
+				idx := pc & (len(predict) - 1)
+				predTaken := predict[idx] >= 2
 				if predTaken != taken {
 					t.res.Mispredicts++
 					// Fetch resumes after the branch resolves.
-					if doneAt+c.cfg.BranchPenalty > t.fetchCycle {
-						t.fetchCycle = doneAt + c.cfg.BranchPenalty
-						t.fetchedThisCycle = 0
+					if doneAt+branchPenalty > fetchCycle {
+						fetchCycle = doneAt + branchPenalty
+						fetchedThisCycle = 0
 					}
 				}
-				if taken && c.predict[idx] < 3 {
-					c.predict[idx]++
-				} else if !taken && c.predict[idx] > 0 {
-					c.predict[idx]--
+				if taken && predict[idx] < 3 {
+					predict[idx]++
+				} else if !taken && predict[idx] > 0 {
+					predict[idx]--
 				}
 			}
 		}
 
 		// --- Commit (in order) ---
 		cAt := doneAt + 1
-		if cAt < t.lastCommitCycle {
-			cAt = t.lastCommitCycle
+		if cAt < lastCommit {
+			cAt = lastCommit
 		}
-		if cAt == t.lastCommitCycle && int(t.commitsThisCycle) >= c.cfg.CommitWidth {
+		if cAt == lastCommit && commitsThisCycle >= commitWidth {
 			cAt++
 		}
-		if cAt-t.lastCommitCycle >= t.checkGap && c.monitor != nil {
+		if cAt-lastCommit >= checkGap && monitor != nil {
 			// The check precedes the retirement note and the clock update:
 			// an instruction whose completion cycle leapt past the stall
 			// threshold must trip the watchdog, not silently refresh it.
-			c.monitor.CheckProgress(cAt)
-			c.monitor.NoteRetire(cAt)
+			monitor.CheckProgress(cAt)
+			monitor.NoteRetire(cAt)
 		}
-		if cAt > t.lastCommitCycle {
+		if cAt > lastCommit {
+			lastCommit = cAt
 			t.lastCommitCycle = cAt
-			t.commitsThisCycle = 0
+			commitsThisCycle = 0
 		}
-		t.commitsThisCycle++
-		t.robCommit[slot] = cAt
-		if slot++; int(slot) == len(t.robCommit) {
-			slot = 0
+		commitsThisCycle++
+		robCommit[robSlot] = cAt
+		if robSlot++; int(robSlot) == len(robCommit) {
+			robSlot = 0
 		}
-		t.robSlot = slot
 		t.res.Instrs++
 		t.res.Cycles = cAt
 
 		if i%(1<<16) == 0 {
-			t.issueSlots.pruneBelow(t.fetchCycle)
-			t.memSlots.pruneBelow(t.fetchCycle)
+			issueSlots.pruneBelow(fetchCycle)
+			memSlots.pruneBelow(fetchCycle)
 		}
 
 		// --- Next PC ---
@@ -838,16 +918,18 @@ func (t *Thread) Step() error {
 			return nil
 		}
 		if in.branch && taken {
-			t.pc = in.target
+			pc = in.target
 		} else {
-			t.pc = pc + 1
+			pc++
+		}
+		if i++; i >= budget {
+			t.done = true
+			return nil
+		}
+		if lastCommit >= bound {
+			return nil
 		}
 	}
-	t.i++
-	if t.i >= t.budget {
-		t.done = true
-	}
-	return nil
 }
 
 // Regs returns the architectural register file after Run (for tests).

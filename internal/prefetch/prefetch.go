@@ -34,9 +34,12 @@ type MissEvent struct {
 	// request, so pointer counters can still be armed, but region engines
 	// must not re-trigger on it.
 	Merged bool
-	// Present reports whether a block is already in the L2 (used to build
-	// region bit vectors and to filter candidates).
-	Present func(block uint64) bool
+	// Present reports which of the n (at most 64) consecutive blocks from
+	// the block-aligned base are already in the L2 or on their way, bit i
+	// for block base+i*BlockBytes: one query builds a region entry's bit
+	// vector (Sec. 3.1). Candidates popped later are filtered block by
+	// block through Pop's present.
+	Present func(base uint64, n int) uint64
 }
 
 // Engine is the interface between the memory system and a prefetcher.
@@ -306,23 +309,14 @@ func (q *regionQueue) pop(present func(uint64) bool) (block uint64, ptrCtr uint8
 
 // makeRegion builds a region entry of `blocks` blocks around addr. The bit
 // vector starts with every block not already present in the L2 except the
-// miss block itself, and the index points at the candidate just after the
-// miss block (Sec. 3.1).
-func makeRegion(addr uint64, blocks int, present func(uint64) bool, ptrCtr uint8) regionEntry {
+// miss block itself, from one presence query over the region, and the
+// index points at the candidate just after the miss block (Sec. 3.1).
+func makeRegion(addr uint64, blocks int, present func(base uint64, n int) uint64, ptrCtr uint8) regionEntry {
 	size := uint64(blocks) * BlockBytes
 	base := addr &^ (size - 1)
 	missPos := (addr - base) / BlockBytes
-	var bits uint64
-	for i := 0; i < blocks; i++ {
-		b := base + uint64(i)*BlockBytes
-		if uint64(i) == missPos {
-			continue // the miss block is being fetched by the demand miss
-		}
-		if present != nil && present(b) {
-			continue
-		}
-		bits |= 1 << uint(i)
-	}
+	// The miss block is being fetched by the demand miss.
+	bits := ^present(base, blocks) & (^uint64(0) >> (64 - blocks)) &^ (1 << missPos)
 	return regionEntry{
 		base:   base,
 		bits:   bits,

@@ -10,6 +10,22 @@ import (
 
 func notPresent(uint64) bool { return false }
 
+// nonePresent is the MissEvent.Present of an empty L2.
+func nonePresent(uint64, int) uint64 { return 0 }
+
+// blockMask turns a per-block presence predicate into a MissEvent.Present.
+func blockMask(present func(uint64) bool) func(uint64, int) uint64 {
+	return func(base uint64, n int) uint64 {
+		var mask uint64
+		for i := 0; i < n; i++ {
+			if present(base + uint64(i)*BlockBytes) {
+				mask |= 1 << i
+			}
+		}
+		return mask
+	}
+}
+
 func TestRegionQueueLIFO(t *testing.T) {
 	var q regionQueue
 	q.pushHead(regionEntry{base: 0x1000, bits: 0b1, blocks: 64})
@@ -74,7 +90,7 @@ func TestRegionQueueSteadyStateAllocs(t *testing.T) {
 
 func TestMakeRegionExcludesMissAndPresent(t *testing.T) {
 	present := func(b uint64) bool { return b == 0x1000+2*64 } // block 2 cached
-	e := makeRegion(0x1000+5*64+8, 64, present, 0)
+	e := makeRegion(0x1000+5*64+8, 64, blockMask(present), 0)
 	if e.base != 0x1000 {
 		t.Errorf("base = %#x", e.base)
 	}
@@ -101,7 +117,7 @@ func TestMakeRegionExcludesMissAndPresent(t *testing.T) {
 
 func TestRegionPopWrapsFromIndex(t *testing.T) {
 	var q regionQueue
-	e := makeRegion(0x0+62*64, 64, nil, 0) // miss at block 62; idx = 63
+	e := makeRegion(0x0+62*64, 64, nonePresent, 0) // miss at block 62; idx = 63
 	q.pushHead(e)
 	// First pops should come at/after the index, wrapping.
 	b, _, _ := q.pop(notPresent)
@@ -116,12 +132,12 @@ func TestRegionPopWrapsFromIndex(t *testing.T) {
 
 func TestSRPRegionAllocationAndRecycle(t *testing.T) {
 	s := NewSRP()
-	s.OnL2DemandMiss(MissEvent{Addr: 0x10000, Present: notPresent})
+	s.OnL2DemandMiss(MissEvent{Addr: 0x10000, Present: nonePresent})
 	if s.Stats().RegionsAllocated != 1 {
 		t.Fatal("miss should allocate a region")
 	}
 	// A second miss in the same region retargets, not reallocates.
-	s.OnL2DemandMiss(MissEvent{Addr: 0x10000 + 30*64, Present: notPresent})
+	s.OnL2DemandMiss(MissEvent{Addr: 0x10000 + 30*64, Present: nonePresent})
 	if s.Stats().RegionsAllocated != 1 || s.Stats().RegionsRecycled != 1 {
 		t.Errorf("stats = %+v", s.Stats())
 	}
@@ -134,7 +150,7 @@ func TestSRPRegionAllocationAndRecycle(t *testing.T) {
 
 func TestSRPMergedIgnored(t *testing.T) {
 	s := NewSRP()
-	s.OnL2DemandMiss(MissEvent{Addr: 0x10000, Merged: true, Present: notPresent})
+	s.OnL2DemandMiss(MissEvent{Addr: 0x10000, Merged: true, Present: nonePresent})
 	if s.Stats().RegionsAllocated != 0 {
 		t.Error("merged events must not allocate regions")
 	}
@@ -142,7 +158,7 @@ func TestSRPMergedIgnored(t *testing.T) {
 
 func TestSRPFullyCachedRegionNotAllocated(t *testing.T) {
 	s := NewSRP()
-	s.OnL2DemandMiss(MissEvent{Addr: 0x20000, Present: func(uint64) bool { return true }})
+	s.OnL2DemandMiss(MissEvent{Addr: 0x20000, Present: func(uint64, int) uint64 { return ^uint64(0) }})
 	if s.Stats().RegionsAllocated != 0 {
 		t.Error("a fully cached region should not enqueue")
 	}
@@ -164,12 +180,12 @@ func (f *fakeMem) InHeap(a uint64) bool   { return a >= f.lo && a < f.hi }
 func TestGRPSpatialGating(t *testing.T) {
 	g := NewGRP(DefaultGRPConfig(), &fakeMem{words: map[uint64]uint64{}})
 	// Unhinted miss: nothing.
-	g.OnL2DemandMiss(MissEvent{Addr: 0x10000, Hint: isa.HintNone, Coeff: isa.FixedRegion, Present: notPresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0x10000, Hint: isa.HintNone, Coeff: isa.FixedRegion, Present: nonePresent})
 	if _, ok := g.Pop(notPresent); ok {
 		t.Fatal("GRP must not prefetch on unhinted misses")
 	}
 	// Spatial miss: full region.
-	g.OnL2DemandMiss(MissEvent{Addr: 0x10000, Hint: isa.HintSpatial, Coeff: isa.FixedRegion, Present: notPresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0x10000, Hint: isa.HintSpatial, Coeff: isa.FixedRegion, Present: nonePresent})
 	if _, ok := g.Pop(notPresent); !ok {
 		t.Fatal("spatial miss should produce candidates")
 	}
@@ -182,23 +198,23 @@ func TestGRPVariableRegionSizes(t *testing.T) {
 	g := NewGRP(DefaultGRPConfig(), &fakeMem{words: map[uint64]uint64{}})
 	g.SetBound(16) // trip count 16
 	// Coeff 3 (8-byte stride): 16<<3 = 128 bytes → 2 blocks.
-	g.OnL2DemandMiss(MissEvent{Addr: 0x40000, Hint: isa.HintSpatial, Coeff: 3, Present: notPresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0x40000, Hint: isa.HintSpatial, Coeff: 3, Present: nonePresent})
 	if g.Stats().RegionSizeDist[2] != 1 {
 		t.Errorf("16<<3 should give a 2-block region: %v", g.Stats().RegionSizeDist)
 	}
 	// Large bound: clamped to the fixed 64-block region.
 	g.SetBound(4096)
-	g.OnL2DemandMiss(MissEvent{Addr: 0x80000, Hint: isa.HintSpatial, Coeff: 3, Present: notPresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0x80000, Hint: isa.HintSpatial, Coeff: 3, Present: nonePresent})
 	if g.Stats().RegionSizeDist[64] != 1 {
 		t.Errorf("4096<<3 should clamp to 64 blocks: %v", g.Stats().RegionSizeDist)
 	}
 	// Coefficient 0: reserved minimum region regardless of bound.
-	g.OnL2DemandMiss(MissEvent{Addr: 0xc0000, Hint: isa.HintSpatial, Coeff: 0, Present: notPresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0xc0000, Hint: isa.HintSpatial, Coeff: 0, Present: nonePresent})
 	if g.Stats().RegionSizeDist[2] != 2 {
 		t.Errorf("coeff 0 should give minimum regions: %v", g.Stats().RegionSizeDist)
 	}
 	// FixedRegion coefficient: 64 blocks.
-	g.OnL2DemandMiss(MissEvent{Addr: 0x100000, Hint: isa.HintSpatial, Coeff: isa.FixedRegion, Present: notPresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0x100000, Hint: isa.HintSpatial, Coeff: isa.FixedRegion, Present: nonePresent})
 	if g.Stats().RegionSizeDist[64] != 2 {
 		t.Errorf("fixed coeff should give 64 blocks: %v", g.Stats().RegionSizeDist)
 	}
@@ -209,7 +225,7 @@ func TestGRPFixIgnoresCoeff(t *testing.T) {
 	cfg.Variable = false
 	g := NewGRP(cfg, &fakeMem{words: map[uint64]uint64{}})
 	g.SetBound(16)
-	g.OnL2DemandMiss(MissEvent{Addr: 0x40000, Hint: isa.HintSpatial, Coeff: 3, Present: notPresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0x40000, Hint: isa.HintSpatial, Coeff: 3, Present: nonePresent})
 	if g.Stats().RegionSizeDist[64] != 1 {
 		t.Errorf("GRP/Fix should use fixed regions: %v", g.Stats().RegionSizeDist)
 	}
@@ -223,7 +239,7 @@ func TestGRPPointerScan(t *testing.T) {
 	fm.words[0x100010] = 0x160000
 	g := NewGRP(DefaultGRPConfig(), fm)
 
-	g.OnL2DemandMiss(MissEvent{Addr: 0x100000, Hint: isa.HintPointer, Coeff: isa.FixedRegion, Present: notPresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0x100000, Hint: isa.HintPointer, Coeff: isa.FixedRegion, Present: nonePresent})
 	g.OnArrival(0x100000)
 	if g.Stats().PointersFound != 2 {
 		t.Fatalf("PointersFound = %d, want 2", g.Stats().PointersFound)
@@ -253,7 +269,7 @@ func TestGRPRecursiveChase(t *testing.T) {
 	cfg := DefaultGRPConfig()
 	cfg.RecursionDepth = 3
 	g := NewGRP(cfg, fm)
-	g.OnL2DemandMiss(MissEvent{Addr: 0x100000, Hint: isa.HintRecursive, Coeff: isa.FixedRegion, Present: notPresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0x100000, Hint: isa.HintRecursive, Coeff: isa.FixedRegion, Present: nonePresent})
 	levels := 0
 	block := uint64(0x100000)
 	for {
@@ -278,8 +294,8 @@ func TestGRPMergedUpgradesCounter(t *testing.T) {
 	fm := &fakeMem{words: map[uint64]uint64{0x100000: 0x150000}, lo: 0x100000, hi: 0x200000}
 	g := NewGRP(DefaultGRPConfig(), fm)
 	// Unhinted primary miss, then a merged recursive-hinted access.
-	g.OnL2DemandMiss(MissEvent{Addr: 0x100000, Hint: isa.HintNone, Coeff: isa.FixedRegion, Present: notPresent})
-	g.OnL2DemandMiss(MissEvent{Addr: 0x100008, Hint: isa.HintRecursive, Coeff: isa.FixedRegion, Merged: true, Present: notPresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0x100000, Hint: isa.HintNone, Coeff: isa.FixedRegion, Present: nonePresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0x100008, Hint: isa.HintRecursive, Coeff: isa.FixedRegion, Merged: true, Present: nonePresent})
 	g.OnArrival(0x100000)
 	if g.Stats().PointerScans != 1 {
 		t.Errorf("merged recursive hint should arm the scanner: %+v", g.Stats())
@@ -321,7 +337,7 @@ func TestStrideTrainingAndStream(t *testing.T) {
 	pc := uint64(0x40)
 	// Train with stride 256: conf reaches threshold after repeats.
 	for i := 0; i < 5; i++ {
-		s.OnL2DemandMiss(MissEvent{PC: pc, Addr: uint64(0x10000 + i*256), Present: notPresent})
+		s.OnL2DemandMiss(MissEvent{PC: pc, Addr: uint64(0x10000 + i*256), Present: nonePresent})
 	}
 	b, ok := s.Pop(notPresent)
 	if !ok {
@@ -354,7 +370,7 @@ func TestStrideIgnoresIrregular(t *testing.T) {
 	s := NewStride(DefaultStrideConfig())
 	addrs := []uint64{0x1000, 0x9940, 0x2300, 0xff000, 0x5aa0}
 	for _, a := range addrs {
-		s.OnL2DemandMiss(MissEvent{PC: 0x40, Addr: a, Present: notPresent})
+		s.OnL2DemandMiss(MissEvent{PC: 0x40, Addr: a, Present: nonePresent})
 	}
 	if _, ok := s.Pop(notPresent); ok {
 		t.Error("irregular misses must not allocate streams")
@@ -365,7 +381,7 @@ func TestStrideSubBlockDedupe(t *testing.T) {
 	s := NewStride(DefaultStrideConfig())
 	// Stride 8 within blocks: candidates must be distinct blocks.
 	for i := 0; i < 6; i++ {
-		s.OnL2DemandMiss(MissEvent{PC: 0x80, Addr: uint64(0x20000 + i*8), Present: notPresent})
+		s.OnL2DemandMiss(MissEvent{PC: 0x80, Addr: uint64(0x20000 + i*8), Present: nonePresent})
 	}
 	seen := map[uint64]bool{}
 	for {
@@ -384,7 +400,7 @@ func TestPointerOnlyChase(t *testing.T) {
 	fm := &fakeMem{words: map[uint64]uint64{}, lo: 0x100000, hi: 0x900000}
 	fm.words[0x100000] = 0x300000
 	p := NewPointerOnly(fm, 2)
-	p.OnL2DemandMiss(MissEvent{Addr: 0x100000, Present: notPresent})
+	p.OnL2DemandMiss(MissEvent{Addr: 0x100000, Present: nonePresent})
 	p.OnArrival(0x100000)
 	b, ok := p.Pop(notPresent)
 	if !ok || b != 0x300000 {
@@ -400,9 +416,9 @@ func TestPointerOnlyChase(t *testing.T) {
 // aligned regions of the requested size.
 func TestSRPAblations(t *testing.T) {
 	s := NewSRPAblation(0, true)
-	s.OnL2DemandMiss(MissEvent{Addr: 0x10000, Present: notPresent})
-	s.OnL2DemandMiss(MissEvent{Addr: 0x20000, Present: notPresent})
-	s.OnL2DemandMiss(MissEvent{Addr: 0x20000 + 5*64, Present: notPresent})
+	s.OnL2DemandMiss(MissEvent{Addr: 0x10000, Present: nonePresent})
+	s.OnL2DemandMiss(MissEvent{Addr: 0x20000, Present: nonePresent})
+	s.OnL2DemandMiss(MissEvent{Addr: 0x20000 + 5*64, Present: nonePresent})
 	if st := s.Stats(); st.RegionsAllocated != 2 || st.RegionsRecycled != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -411,7 +427,7 @@ func TestSRPAblations(t *testing.T) {
 	}
 
 	s = NewSRPAblation(16, false)
-	s.OnL2DemandMiss(MissEvent{Addr: 0x10000 + 20*64, Present: notPresent})
+	s.OnL2DemandMiss(MissEvent{Addr: 0x10000 + 20*64, Present: nonePresent})
 	if s.Stats().RegionSizeDist[16] != 1 {
 		t.Fatalf("want one 16-block region: %v", s.Stats().RegionSizeDist)
 	}
@@ -438,7 +454,7 @@ func TestHardwareOnlyRowsIgnoreCompilerInfo(t *testing.T) {
 		}
 	}
 	p := NewPointerOnly(fm, 2)
-	p.OnL2DemandMiss(MissEvent{Addr: 0x100000, Present: notPresent})
+	p.OnL2DemandMiss(MissEvent{Addr: 0x100000, Present: nonePresent})
 	p.OnArrival(0x100000)
 	rowOpen := func(b uint64) bool { return b == 0x300040 }
 	if b, ok := p.PopOpenFirst(notPresent, rowOpen); !ok || b != 0x300000 {
@@ -473,7 +489,7 @@ func TestQuickRegionPopNeverYieldsPresent(t *testing.T) {
 			return i < 64 && presentMask&(1<<i) != 0
 		}
 		var q regionQueue
-		e := makeRegion(addr, 64, present, 0)
+		e := makeRegion(addr, 64, blockMask(present), 0)
 		if e.bits == 0 {
 			return true
 		}
@@ -498,7 +514,7 @@ func TestQuickRegionPopNeverYieldsPresent(t *testing.T) {
 
 func TestPopOpenFirstPrefersOpenRow(t *testing.T) {
 	s := NewSRP()
-	s.OnL2DemandMiss(MissEvent{Addr: 0x100000, Present: notPresent})
+	s.OnL2DemandMiss(MissEvent{Addr: 0x100000, Present: nonePresent})
 	// Pretend the row holding block 40 of the region is open.
 	openBlock := uint64(0x100000 + 40*64)
 	rowOpen := func(b uint64) bool { return b == openBlock }
@@ -520,7 +536,7 @@ func TestPopOpenFirstPrefersOpenRow(t *testing.T) {
 func TestPopOpenFirstGRPCarriesCounter(t *testing.T) {
 	fm := &fakeMem{words: map[uint64]uint64{0x200000: 0x300000}, lo: 0x200000, hi: 0x400000}
 	g := NewGRP(DefaultGRPConfig(), fm)
-	g.OnL2DemandMiss(MissEvent{Addr: 0x200000, Hint: isa.HintRecursive, Coeff: isa.FixedRegion, Present: notPresent})
+	g.OnL2DemandMiss(MissEvent{Addr: 0x200000, Hint: isa.HintRecursive, Coeff: isa.FixedRegion, Present: nonePresent})
 	g.OnArrival(0x200000)
 	b, ok := g.PopOpenFirst(notPresent, func(uint64) bool { return false })
 	if !ok {

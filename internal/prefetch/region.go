@@ -293,7 +293,7 @@ func (e *Region) OnL2DemandMiss(ev MissEvent) {
 // count around the miss, or recycles a queued entry of that size holding
 // it: the entry is retargeted past the miss block and, except under the
 // FIFO ablation, moved to the head.
-func (e *Region) openRegion(addr uint64, blocks int, present func(uint64) bool) {
+func (e *Region) openRegion(addr uint64, blocks int, present func(base uint64, n int) uint64) {
 	base := addr &^ (uint64(blocks)*BlockBytes - 1)
 	if i := e.q.find(base); i >= 0 && int(e.q.entries[i].blocks) == blocks {
 		e.q.entries[i].retarget(addr)

@@ -80,7 +80,7 @@ func lineCached(b uint64) bool {
 func scanOnce(t *testing.T, row scanRow, f *boundsMem) (*Region, []uint64) {
 	t.Helper()
 	g := row.build(f)
-	g.OnL2DemandMiss(MissEvent{Addr: scanLine + 8, Hint: isa.HintPointer, Present: lineCached})
+	g.OnL2DemandMiss(MissEvent{Addr: scanLine + 8, Hint: isa.HintPointer, Present: blockMask(lineCached)})
 	g.OnArrival(scanLine)
 	var got []uint64
 	for {
@@ -245,7 +245,7 @@ func TestScanZeroLengthHeap(t *testing.T) {
 func TestRegionEndsAtAddressSpaceTop(t *testing.T) {
 	size := uint64(RegionBlocks) * BlockBytes
 	base := -size // == 2^64 - size
-	e := makeRegion(base+8, RegionBlocks, nil, 0)
+	e := makeRegion(base+8, RegionBlocks, nonePresent, 0)
 	if e.base != base {
 		t.Fatalf("region base %#x, want %#x", e.base, base)
 	}
@@ -319,7 +319,7 @@ func TestScanNotArmedWithoutHint(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			f := &boundsMem{words: map[uint64]uint64{scanLine: heapBase + 0x800}, base: heapBase, lim: heapLim}
 			g := row.build(f)
-			g.OnL2DemandMiss(MissEvent{Addr: scanLine})
+			g.OnL2DemandMiss(MissEvent{Addr: scanLine, Present: nonePresent})
 			g.OnArrival(scanLine)
 			if st := g.Stats(); st.PointerScans != 0 {
 				t.Fatalf("PointerScans = %d, want 0 for unhinted miss", st.PointerScans)

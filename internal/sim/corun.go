@@ -141,10 +141,12 @@ type portState struct {
 	histPF     *metrics.Histogram // prefetch issue→fill latency
 	tamper     func(block uint64)
 
-	// presentFn/rowOpenFn are p.present and p.rowOpen bound once: passing
-	// the method values inline would allocate a closure on every pop.
-	presentFn func(uint64) bool
-	rowOpenFn func(uint64) bool
+	// presentFn, presentMaskFn and rowOpenFn are p.present, p.presentMask
+	// and p.rowOpen bound once: passing the method values inline would
+	// allocate a closure on every pop and miss.
+	presentFn     func(uint64) bool
+	presentMaskFn func(uint64, int) uint64
+	rowOpenFn     func(uint64) bool
 
 	// Cross-core prefetch pollution, both directions: caused counts this
 	// core's prefetch fills that evicted another core's valid
@@ -212,6 +214,7 @@ func NewCoRunSystem(cfg MemConfig, engines []prefetch.Engine) (*CoRunSystem, err
 			mshr:      cache.NewMSHRFile(cfg.L2.MSHRs),
 		}}
 		p.presentFn = p.present
+		p.presentMaskFn = p.presentMask
 		p.rowOpenFn = p.rowOpen
 		cs.ports = append(cs.ports, p)
 	}
@@ -412,6 +415,42 @@ func (p *CorePort) present(block uint64) bool {
 	}
 	_, inf := cs.inflight.Get(block)
 	return inf
+}
+
+// presentMask is present for the n (at most 64) consecutive core-local
+// blocks from base in one query, bit i for block base+i*BlockBytes: one
+// pass over the shared L2's sets and one over the in-flight lines. It is
+// the engine's MissEvent.Present. Base is region-aligned, so the blocks
+// stay inside one address space.
+func (p *CorePort) presentMask(base uint64, n int) uint64 {
+	cs := p.sys
+	if cs.cfg.L2.BlockBytes != prefetch.BlockBytes {
+		// An L2 block other than the engines' asks block by block.
+		var mask uint64
+		for i := 0; i < n; i++ {
+			if p.present(base + uint64(i)*prefetch.BlockBytes) {
+				mask |= 1 << i
+			}
+		}
+		return mask
+	}
+	g := p.global(base)
+	return cs.L2.PresentMask(g, n) | cs.inflightMask(g, n)
+}
+
+// inflightMask reports which of the n consecutive blocks from the
+// shared-fabric block gbase have a line in flight, in one pass over the
+// arrival queue. A cancelled line has already left the in-flight table,
+// so it does not count.
+func (cs *CoRunSystem) inflightMask(gbase uint64, n int) uint64 {
+	var mask uint64
+	for _, a := range cs.arrivals.q[cs.arrivals.head:] {
+		ln := cs.pool.at(a.idx)
+		if d := (ln.block - gbase) / prefetch.BlockBytes; d < uint64(n) && !ln.cancelled {
+			mask |= 1 << d
+		}
+	}
+	return mask
 }
 
 // rowOpen reports whether a core-local block's DRAM row is open.
@@ -754,7 +793,7 @@ func (p *CorePort) access(pc, addr uint64, write bool, hint isa.Hint, coeff uint
 		}
 		p.Engine.OnL2DemandMiss(prefetch.MissEvent{
 			PC: pc, Addr: addr, Hint: hint, Coeff: coeff, Merged: true,
-			Present: p.presentFn,
+			Present: p.presentMaskFn,
 		})
 		d := ln.doneAt
 		if m := now + l1lat + l2lat; m > d {
@@ -785,7 +824,7 @@ func (p *CorePort) access(pc, addr uint64, write bool, hint isa.Hint, coeff uint
 	// Demand L2 miss: notify this core's engine, then go to DRAM through
 	// this core's MSHR partition.
 	p.Engine.OnL2DemandMiss(prefetch.MissEvent{
-		PC: pc, Addr: addr, Hint: hint, Coeff: coeff, Present: p.presentFn,
+		PC: pc, Addr: addr, Hint: hint, Coeff: coeff, Present: p.presentMaskFn,
 	})
 	lb := cs.local(block)
 	if p.ledger != nil {

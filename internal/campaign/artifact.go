@@ -147,9 +147,9 @@ type DryRun struct {
 	HitRate float64 `json:"est_hit_rate"`
 }
 
-// DryRunGrid sizes a grid against the engine's store. Keying compiles
-// each distinct workload once (memoized), which is orders of magnitude
-// cheaper than simulating any single cell.
+// DryRunGrid sizes a grid against the engine's store. Keying builds and
+// digests each distinct program's image once, on the worker pool, which
+// costs a fraction of simulating one cell of that program.
 func (e *Engine) DryRunGrid(g *Grid) (*DryRun, error) {
 	d := &DryRun{
 		Cells:   len(g.Cells),

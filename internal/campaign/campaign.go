@@ -165,21 +165,40 @@ type Job struct {
 }
 
 // Keys computes the content address of every job, positionally. This is
-// what a sweep journal is opened with: compiling (the expensive part of
-// keying) is memoized per bench, so keying a grid is cheap next to
-// simulating it.
+// what a sweep journal is opened with. Building, initializing and
+// digesting a program's memory image is nearly all the cost of keying, so
+// Keys hashes each distinct program the jobs name (co-runners included)
+// once, on the worker pool, then forms the cell keys there too. At most
+// Jobs() images are alive at once, as when the cells run. A failure
+// returns the error of the lowest failing job, at any pool width.
 func (e *Engine) Keys(jobs []Job) ([]CellKey, error) {
+	var progs []program
+	seen := map[program]bool{}
+	for _, j := range jobs {
+		for _, p := range programsOf(j) {
+			if !seen[p] {
+				seen[p] = true
+				progs = append(progs, p)
+			}
+		}
+	}
+	// Programs are listed in the order the jobs first name them, so the
+	// lowest failing program is the one the lowest failing job meets first.
+	ctx := context.Background()
+	if err := ParallelFor(ctx, len(progs), e.Jobs(), func(i int) error {
+		_, err := e.memo.get(progs[i])
+		return err
+	}); err != nil {
+		return nil, err
+	}
 	keys := make([]CellKey, len(jobs))
-	for i, j := range jobs {
-		ph, err := e.memo.get(j.Bench, j.Opt.Factor, j.Opt.Policy, j.Scheme == core.SoftwarePF)
-		if err != nil {
-			return nil, err
-		}
-		crh, err := e.memo.coRunHashes(j.Opt, j.Scheme)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = cellKey(j.Bench, j.Scheme, j.Opt, ph, crh...)
+	err := ParallelFor(ctx, len(jobs), e.Jobs(), func(i int) error {
+		var err error
+		keys[i], err = e.memo.key(jobs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return keys, nil
 }
@@ -348,15 +367,10 @@ func (e *Engine) RunOne(ctx context.Context, i int, j Job) (*core.Result, bool, 
 	useCache := e.store != nil && j.Opt.Timeline == nil
 	var key CellKey
 	if useCache || e.journal != nil || e.flight != nil {
-		ph, err := e.memo.get(j.Bench, j.Opt.Factor, j.Opt.Policy, j.Scheme == core.SoftwarePF)
-		if err != nil {
+		var err error
+		if key, err = e.memo.key(j); err != nil {
 			return nil, false, key, err
 		}
-		crh, err := e.memo.coRunHashes(j.Opt, j.Scheme)
-		if err != nil {
-			return nil, false, key, err
-		}
-		key = cellKey(j.Bench, j.Scheme, j.Opt, ph, crh...)
 	}
 	if useCache {
 		if r, ok := e.store.Get(key); ok {

@@ -270,6 +270,91 @@ func TestProgramHash(t *testing.T) {
 	}
 }
 
+// TestKeysEveryWidth keys a test-factor grid of solo cells, software-
+// prefetch cells and corun=mcf+art cells at pool widths 1, 2 and 8: the
+// keys must be identical and positional, and the memo must then hold
+// exactly the distinct programs the jobs name, co-runners included. A
+// grid with unknown kernels must fail with the lowest failing job's error
+// at every width.
+func TestKeysEveryWidth(t *testing.T) {
+	opt := testOpt()
+	corun := opt
+	corun.CoRun = []string{"mcf", "art"}
+	var jobs []Job
+	for _, b := range []string{"mcf", "art", "equake"} {
+		jobs = append(jobs, Job{Bench: b, Scheme: core.NoPrefetch, Opt: opt}, Job{Bench: b, Scheme: core.GRPVar, Opt: opt})
+	}
+	jobs = append(jobs,
+		Job{Bench: "mcf", Scheme: core.SoftwarePF, Opt: opt},
+		Job{Bench: "gzip", Scheme: core.GRPVar, Opt: corun},
+		Job{Bench: "art", Scheme: core.SoftwarePF, Opt: corun},
+	)
+	want := map[program]bool{}
+	for _, b := range []string{"mcf", "art", "equake", "gzip"} {
+		want[program{bench: b, factor: workloads.Test}] = true
+	}
+	for _, b := range []string{"mcf", "art"} {
+		want[program{bench: b, factor: workloads.Test, swpf: true}] = true
+	}
+
+	var ref []CellKey
+	for _, w := range []int{1, 2, 8} {
+		e := New(Config{Jobs: w})
+		keys, err := e.Keys(jobs)
+		if err != nil {
+			t.Fatalf("width %d: %v", w, err)
+		}
+		for i, k := range keys {
+			if k.Bench != jobs[i].Bench || k.Scheme != jobs[i].Scheme {
+				t.Fatalf("width %d: key %d is %s/%s, job is %s/%s", w, i, k.Bench, k.Scheme, jobs[i].Bench, jobs[i].Scheme)
+			}
+		}
+		if ref == nil {
+			ref = keys
+		} else {
+			for i := range keys {
+				if keys[i] != ref[i] {
+					t.Fatalf("width %d: key %d = %s, width 1 %s", w, i, keys[i].Digest, ref[i].Digest)
+				}
+			}
+		}
+		if len(e.memo.m) != len(want) {
+			t.Errorf("width %d: memo holds %d programs, want %d", w, len(e.memo.m), len(want))
+		}
+		for p := range want {
+			if _, ok := e.memo.m[p]; !ok {
+				t.Errorf("width %d: memo lacks %+v", w, p)
+			}
+		}
+	}
+
+	// Jobs 0–2 key fine; job 3's co-runner nosuch1 is the first unknown
+	// program the jobs name, and job 4 names another.
+	bad := []Job{
+		{Bench: "mcf", Scheme: core.GRPVar, Opt: opt},
+		{Bench: "art", Scheme: core.GRPVar, Opt: opt},
+		{Bench: "mcf", Scheme: core.SRP, Opt: opt},
+		{Bench: "art", Scheme: core.GRPVar, Opt: core.Options{Factor: workloads.Test, CoRun: []string{"nosuch1"}}},
+		{Bench: "nosuch0", Scheme: core.GRPVar, Opt: opt},
+		{Bench: "equake", Scheme: core.GRPVar, Opt: opt},
+	}
+	var refErr string
+	for _, w := range []int{1, 2, 8} {
+		_, err := New(Config{Jobs: w}).Keys(bad)
+		if err == nil {
+			t.Fatalf("width %d: keying unknown kernels succeeded", w)
+		}
+		if !strings.Contains(err.Error(), "nosuch1") {
+			t.Fatalf("width %d: error %q does not name the lowest failing job's kernel nosuch1", w, err)
+		}
+		if refErr == "" {
+			refErr = err.Error()
+		} else if err.Error() != refErr {
+			t.Fatalf("width %d: error %q, width 1 %q", w, err, refErr)
+		}
+	}
+}
+
 // TestSpecParse exercises the sweep grammar.
 func TestSpecParse(t *testing.T) {
 	g, err := ParseSpec("schemes=base,srp,grp/var × kernels=mcf,art × l2.size=512K,1M", testOpt())

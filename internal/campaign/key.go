@@ -215,9 +215,11 @@ func cellKey(bench string, sc core.Scheme, opt core.Options, progHash uint64, co
 
 // programHash digests the compiled workload exactly as core.Run will
 // execute it: the full instruction stream with hint bits and coefficients,
-// the initialized memory image, and the instruction budget. Compiling is
-// orders of magnitude cheaper than simulating, so the key stays honest
-// about compiler, workload, and policy edits without a manual version.
+// the initialized memory image, and the instruction budget. Building,
+// initializing and digesting the image is nearly all of its cost;
+// compiling is a few percent. It is still far cheaper than simulating, so
+// the key stays honest about compiler, workload, and policy edits without
+// a manual version.
 func programHash(bench string, f workloads.Factor, pol compiler.Policy, swpf bool) (uint64, error) {
 	spec, err := workloads.ByName(bench)
 	if err != nil {
@@ -260,50 +262,72 @@ func programHash(bench string, f workloads.Factor, pol compiler.Policy, swpf boo
 	return h, nil
 }
 
+// program is what programHash digests: one kernel built at one factor
+// and compiled under one policy, with or without software-prefetch
+// codegen.
+type program struct {
+	bench  string
+	factor workloads.Factor
+	policy compiler.Policy
+	swpf   bool
+}
+
+// programsOf returns the programs a job runs, in core order: its own
+// bench, then each co-runner's, all under the job's factor, policy and
+// codegen.
+func programsOf(j Job) []program {
+	ps := make([]program, 0, 1+len(j.Opt.CoRun))
+	p := program{bench: j.Bench, factor: j.Opt.Factor, policy: j.Opt.Policy, swpf: j.Scheme == core.SoftwarePF}
+	ps = append(ps, p)
+	for _, b := range j.Opt.CoRun {
+		p.bench = b
+		ps = append(ps, p)
+	}
+	return ps
+}
+
 // hashMemo deduplicates program hashing across the cells of one campaign:
-// every scheme of a bench shares one compile (SoftwarePF recompiles, its
+// every scheme of a bench shares one hash (SoftwarePF recompiles, its
 // codegen differs).
 type hashMemo struct {
 	mu sync.Mutex
-	m  map[string]uint64
+	m  map[program]uint64
 }
 
-func newHashMemo() *hashMemo { return &hashMemo{m: map[string]uint64{}} }
+func newHashMemo() *hashMemo { return &hashMemo{m: map[program]uint64{}} }
 
-// coRunHashes hashes each co-runner's compiled program (core order,
-// same codegen rules as the cell's own bench). Nil for solo cells.
-func (hm *hashMemo) coRunHashes(opt core.Options, sc core.Scheme) ([]uint64, error) {
-	if len(opt.CoRun) == 0 {
-		return nil, nil
-	}
-	out := make([]uint64, len(opt.CoRun))
-	for i, b := range opt.CoRun {
-		h, err := hm.get(b, opt.Factor, opt.Policy, sc == core.SoftwarePF)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = h
-	}
-	return out, nil
-}
-
-func (hm *hashMemo) get(bench string, f workloads.Factor, pol compiler.Policy, swpf bool) (uint64, error) {
-	k := fmt.Sprintf("%s|%s|%s|%t", bench, f, pol, swpf)
+func (hm *hashMemo) get(p program) (uint64, error) {
 	hm.mu.Lock()
-	if v, ok := hm.m[k]; ok {
+	if v, ok := hm.m[p]; ok {
 		hm.mu.Unlock()
 		return v, nil
 	}
 	hm.mu.Unlock()
-	// Compile outside the lock: hashing distinct benches in parallel is
-	// the point of the memo, and duplicate compiles of the same bench are
-	// merely wasted work, never wrong.
-	v, err := programHash(bench, f, pol, swpf)
+	// Hash outside the lock: Keys hashes a grid's distinct programs in
+	// parallel through the memo, and workers that key their cells as they
+	// go (RunOne) may ask for the same program at once; a duplicate hash
+	// is wasted work, never wrong.
+	v, err := programHash(p.bench, p.factor, p.policy, p.swpf)
 	if err != nil {
 		return 0, err
 	}
 	hm.mu.Lock()
-	hm.m[k] = v
+	hm.m[p] = v
 	hm.mu.Unlock()
 	return v, nil
+}
+
+// key computes a job's content address, hashing each of its programs the
+// memo does not hold yet, in core order.
+func (hm *hashMemo) key(j Job) (CellKey, error) {
+	ps := programsOf(j)
+	hs := make([]uint64, len(ps))
+	for i, p := range ps {
+		h, err := hm.get(p)
+		if err != nil {
+			return CellKey{}, err
+		}
+		hs[i] = h
+	}
+	return cellKey(j.Bench, j.Scheme, j.Opt, hs[0], hs[1:]...), nil
 }

@@ -49,7 +49,7 @@ func TestSchemaBumpRetiresOldKeys(t *testing.T) {
 		t.Fatalf("cacheSchemaVersion = %d, want >= 3 after the hot-path overhaul", cacheSchemaVersion)
 	}
 	opt := core.Options{Factor: workloads.Test}
-	ph, err := newHashMemo().get("mcf", opt.Factor, opt.Policy, false)
+	ph, err := newHashMemo().get(program{bench: "mcf", factor: opt.Factor, policy: opt.Policy})
 	if err != nil {
 		t.Fatal(err)
 	}

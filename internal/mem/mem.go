@@ -93,6 +93,16 @@ func (m *Memory) HeapBytes() uint64 { return m.heapBrk - m.heapStart }
 
 // lookup returns the page holding addr, or nil when it does not exist.
 func (m *Memory) lookup(addr uint64) *page {
+	if p := m.dirPage(addr); p != nil || len(m.other) == 0 {
+		return p
+	}
+	return m.other[addr/PageSize]
+}
+
+// dirPage returns the page of the heap or globals directory that holds
+// addr, or nil when that page does not exist or addr lies outside both
+// directories.
+func (m *Memory) dirPage(addr uint64) *page {
 	pn := addr / PageSize
 	if i := pn - heapFirstPN; i < uint64(len(m.heap)) {
 		return m.heap[i]
@@ -100,10 +110,19 @@ func (m *Memory) lookup(addr uint64) *page {
 	if i := pn - globalFirstPN; i < uint64(len(m.globals)) {
 		return m.globals[i]
 	}
-	if len(m.other) == 0 {
+	return nil
+}
+
+// wordPage is the fast write path's test: it returns the existing
+// directory page that holds all size bytes at addr, or nil when the word
+// straddles a page boundary, its page does not exist yet, or it lies
+// outside both directories. Those writes take write, which creates and
+// counts pages.
+func (m *Memory) wordPage(addr, size uint64) *page {
+	if addr%PageSize > PageSize-size {
 		return nil
 	}
-	return m.other[pn]
+	return m.dirPage(addr)
 }
 
 // writePage returns the page holding addr, creating it if it does not exist.
@@ -199,8 +218,22 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 	}
 }
 
-// Write stores the low size bytes of val at addr, little-endian.
+// Write stores the low size bytes of val at addr, little-endian. Size
+// must be 1, 4 or 8.
 func (m *Memory) Write(addr uint64, size int, val uint64) {
+	switch size {
+	case 4:
+		m.Write32(addr, uint32(val))
+	case 8:
+		m.Write64(addr, val)
+	default:
+		m.write(addr, size, val)
+	}
+}
+
+// write is Write for every word wordPage turns away: it creates the page
+// a write lands in and splits a word that straddles two pages.
+func (m *Memory) write(addr uint64, size int, val uint64) {
 	var buf [8]byte
 	switch size {
 	case 1:
@@ -229,14 +262,26 @@ func (m *Memory) Write(addr uint64, size int, val uint64) {
 // Read64 is shorthand for Read(addr, 8).
 func (m *Memory) Read64(addr uint64) uint64 { return m.Read(addr, 8) }
 
-// Write64 is shorthand for Write(addr, 8, val).
-func (m *Memory) Write64(addr uint64, val uint64) { m.Write(addr, 8, val) }
+// Write64 is Write(addr, 8, val).
+func (m *Memory) Write64(addr uint64, val uint64) {
+	if p := m.wordPage(addr, 8); p != nil {
+		binary.LittleEndian.PutUint64(p[addr%PageSize:], val)
+		return
+	}
+	m.write(addr, 8, val)
+}
 
 // Read32 is shorthand for Read(addr, 4).
 func (m *Memory) Read32(addr uint64) uint32 { return uint32(m.Read(addr, 4)) }
 
-// Write32 is shorthand for Write(addr, 4, val).
-func (m *Memory) Write32(addr uint64, val uint32) { m.Write(addr, 4, uint64(val)) }
+// Write32 is Write(addr, 4, val).
+func (m *Memory) Write32(addr uint64, val uint32) {
+	if p := m.wordPage(addr, 4); p != nil {
+		binary.LittleEndian.PutUint32(p[addr%PageSize:], val)
+		return
+	}
+	m.write(addr, 4, uint64(val))
+}
 
 // PagesTouched returns how many distinct pages have been written; useful
 // in tests asserting sparseness.

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -217,13 +218,56 @@ func (pm pageModel) digest(heapStart, heapBrk uint64) uint64 {
 	return h
 }
 
+// writeAnyWay sends a 4- or 8-byte write through Write or through the
+// sized shorthand, chosen by the address, so both reach the fast path.
+func writeAnyWay(m *Memory, addr uint64, size int, val uint64) {
+	switch {
+	case addr%3 == 0 || size == 1:
+		m.Write(addr, size, val)
+	case size == 4:
+		m.Write32(addr, uint32(val))
+	default:
+		m.Write64(addr, val)
+	}
+}
+
 // TestMemoryMatchesPageModel runs seeded mixes of 1-, 4- and 8-byte
 // writes and reads against the page model, over the globals segment, the
 // heap, page straddles, both edges of each page directory and addresses
-// outside both (near 0 and 1<<40). Every read, the page count and the
-// final Digest must agree; then reads of untouched pages must return zero
-// and leave the page count and the Digest as they were.
+// outside both (near 0 and 1<<40). Words go through Write, Write32 and
+// Write64. Every read, the page count and the final Digest must agree;
+// then reads of untouched pages must return zero and leave the page count
+// and the Digest as they were.
 func TestMemoryMatchesPageModel(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		if err := matchPageModel(seed, writeAnyWay); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestStraddleBlindFastPathCaught is the model test's known-bad
+// self-test: a fast path that skips the in-page test, and so writes a
+// word that straddles two pages into the first of them, must disagree
+// with the model.
+func TestStraddleBlindFastPathCaught(t *testing.T) {
+	blind := func(m *Memory, addr uint64, size int, val uint64) {
+		if p := m.dirPage(addr); p != nil && size > 1 {
+			for k := 0; k < size; k++ {
+				p[(addr+uint64(k))%PageSize] = byte(val >> (8 * k))
+			}
+			return
+		}
+		m.Write(addr, size, val)
+	}
+	if err := matchPageModel(1, blind); err == nil {
+		t.Fatal("a fast path that writes straddling words into one page matched the page model")
+	}
+}
+
+// matchPageModel runs one seed of TestMemoryMatchesPageModel with every
+// write made by write, and returns the first disagreement.
+func matchPageModel(seed int64, write func(m *Memory, addr uint64, size int, val uint64)) error {
 	heapEnd := HeapBase + heapDirPages*PageSize
 	bases := []uint64{
 		GlobalBase, GlobalBase + 40*PageSize, // globals
@@ -232,61 +276,60 @@ func TestMemoryMatchesPageModel(t *testing.T) {
 		0, 1 << 40, // outside both
 	}
 	sizes := []int{1, 4, 8}
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		m, pm := New(), pageModel{}
-		for k := 0; k < 20000; k++ {
-			base := bases[rng.Intn(len(bases))]
-			var addr uint64
-			switch rng.Intn(3) {
-			case 0: // anywhere in the next few pages
-				addr = base + uint64(rng.Intn(4*PageSize))
-			case 1: // straddling the page boundary at or after base
-				addr = base&^(PageSize-1) + uint64(rng.Intn(3))*PageSize + PageSize - uint64(1+rng.Intn(7))
-			default: // just below base, which crosses a directory edge
-				addr = base - uint64(1+rng.Intn(16))
-			}
-			size := sizes[rng.Intn(len(sizes))]
-			if rng.Intn(5) < 3 {
-				val := rng.Uint64()
-				if rng.Intn(8) == 0 {
-					val = 0 // zero pages must not reach the digest
-				}
-				m.Write(addr, size, val)
-				pm.write(addr, size, val)
-			} else if got, want := m.Read(addr, size), pm.read(addr, size); got != want {
-				t.Fatalf("seed %d op %d: Read(%#x, %d) = %#x, model %#x", seed, k, addr, size, got, want)
-			}
-			if rng.Intn(500) == 0 {
-				m.Alloc(uint64(rng.Intn(3*PageSize)), 8)
-			}
+	rng := rand.New(rand.NewSource(seed))
+	m, pm := New(), pageModel{}
+	for k := 0; k < 20000; k++ {
+		base := bases[rng.Intn(len(bases))]
+		var addr uint64
+		switch rng.Intn(3) {
+		case 0: // anywhere in the next few pages
+			addr = base + uint64(rng.Intn(4*PageSize))
+		case 1: // straddling the page boundary at or after base
+			addr = base&^(PageSize-1) + uint64(rng.Intn(3))*PageSize + PageSize - uint64(1+rng.Intn(7))
+		default: // just below base, which crosses a directory edge
+			addr = base - uint64(1+rng.Intn(16))
 		}
-		if m.PagesTouched() != len(pm) {
-			t.Errorf("seed %d: %d pages, model %d", seed, m.PagesTouched(), len(pm))
-		}
-		start, brk := m.HeapRange()
-		d := m.Digest()
-		if want := pm.digest(start, brk); d != want {
-			t.Errorf("seed %d: Digest %#x, model %#x", seed, d, want)
-		}
-
-		pages := m.PagesTouched()
-		buf := make([]byte, 3*PageSize)
-		for _, base := range bases {
-			for off := uint64(8 * PageSize); off < 12*PageSize; off += 8 {
-				addr := base + off
-				if pm.read(addr, 8) != 0 {
-					continue // written above; only untouched pages count here
-				}
-				if v := m.Read(addr, 8); v != 0 {
-					t.Fatalf("seed %d: untouched %#x reads %#x", seed, addr, v)
-				}
+		size := sizes[rng.Intn(len(sizes))]
+		if rng.Intn(5) < 3 {
+			val := rng.Uint64()
+			if rng.Intn(8) == 0 {
+				val = 0 // zero pages must not reach the digest
 			}
-			m.ReadBytes(base+20*PageSize-5, buf)
+			write(m, addr, size, val)
+			pm.write(addr, size, val)
+		} else if got, want := m.Read(addr, size), pm.read(addr, size); got != want {
+			return fmt.Errorf("seed %d op %d: Read(%#x, %d) = %#x, model %#x", seed, k, addr, size, got, want)
 		}
-		if m.PagesTouched() != pages || m.Digest() != d {
-			t.Errorf("seed %d: reads of untouched pages changed memory: %d pages → %d, digest %#x → %#x",
-				seed, pages, m.PagesTouched(), d, m.Digest())
+		if rng.Intn(500) == 0 {
+			m.Alloc(uint64(rng.Intn(3*PageSize)), 8)
 		}
 	}
+	if m.PagesTouched() != len(pm) {
+		return fmt.Errorf("seed %d: %d pages, model %d", seed, m.PagesTouched(), len(pm))
+	}
+	start, brk := m.HeapRange()
+	d := m.Digest()
+	if want := pm.digest(start, brk); d != want {
+		return fmt.Errorf("seed %d: Digest %#x, model %#x", seed, d, want)
+	}
+
+	pages := m.PagesTouched()
+	buf := make([]byte, 3*PageSize)
+	for _, base := range bases {
+		for off := uint64(8 * PageSize); off < 12*PageSize; off += 8 {
+			addr := base + off
+			if pm.read(addr, 8) != 0 {
+				continue // written above; only untouched pages count here
+			}
+			if v := m.Read(addr, 8); v != 0 {
+				return fmt.Errorf("seed %d: untouched %#x reads %#x", seed, addr, v)
+			}
+		}
+		m.ReadBytes(base+20*PageSize-5, buf)
+	}
+	if m.PagesTouched() != pages || m.Digest() != d {
+		return fmt.Errorf("seed %d: reads of untouched pages changed memory: %d pages → %d, digest %#x → %#x",
+			seed, pages, m.PagesTouched(), d, m.Digest())
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -510,7 +511,7 @@ func TestOverlayDoesNotAliasBase(t *testing.T) {
 }
 
 // TestParallelFor covers the pool: full coverage, bounded concurrency,
-// and first-error propagation.
+// reaching its width, and first-error propagation.
 func TestParallelFor(t *testing.T) {
 	const n = 100
 	var ran [n]int32
@@ -537,6 +538,25 @@ func TestParallelFor(t *testing.T) {
 	}
 	if peak > 4 {
 		t.Errorf("concurrency peaked at %d with jobs=4", peak)
+	}
+
+	// Each of 4 calls waits until all 4 are inside, so a pool narrower
+	// than jobs=4 fails on the timeout instead of hanging.
+	var inside atomic.Int32
+	all := make(chan struct{})
+	err = ParallelFor(context.Background(), 4, 4, func(i int) error {
+		if inside.Add(1) == 4 {
+			close(all)
+		}
+		select {
+		case <-all:
+			return nil
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("call %d: %d of 4 calls inside after 10s", i, inside.Load())
+		}
+	})
+	if err != nil {
+		t.Errorf("jobs=4 never ran 4 calls at once: %v", err)
 	}
 
 	sentinel := errors.New("boom")

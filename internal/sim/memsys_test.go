@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"grp/internal/attrib"
 	"grp/internal/isa"
 	"grp/internal/prefetch"
 )
@@ -228,5 +229,39 @@ func TestSoftwarePrefetchPath(t *testing.T) {
 	}
 	if ms.L2.Stats().UsefulPrefetches != 1 {
 		t.Errorf("software prefetch should count as useful: %+v", ms.L2.Stats())
+	}
+}
+
+// TestHotPathSteadyStateAllocs is the allocation gate, timing-independent
+// so it runs in every tier. It drives a warmed memory system through a
+// fixed working set (demand misses, L2 hits, prefetch traffic, arrival
+// drain), detached and with the attribution ledger attached, and wants
+// zero heap allocations per pass: the pool recycles in-flight lines, the
+// arrival array keeps its capacity, and the open-addressed tables and the
+// ledger's slab stop growing once the working set is resident.
+func TestHotPathSteadyStateAllocs(t *testing.T) {
+	for _, ledger := range []string{"detached", "attached"} {
+		t.Run(ledger, func(t *testing.T) {
+			ms := newSys(prefetch.NewSRP())
+			if ledger == "attached" {
+				ms.AttachLedger(attrib.NewLedger())
+			}
+			now := uint64(1000)
+			drive := func() {
+				for i := 0; i < 256; i++ {
+					addr := uint64(0x40000000 + (i%1024)*512)
+					if done := ms.Load(uint64(i), addr, isa.HintNone, 0, now); done > now {
+						now = done
+					}
+					now++
+				}
+				ms.Drain()
+			}
+			drive() // warm: grow the pool, tables, queue capacity and slab
+			drive()
+			if allocs := testing.AllocsPerRun(100, drive); allocs != 0 {
+				t.Fatalf("steady-state hot path allocates %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
